@@ -5,8 +5,11 @@
 //! separable convolution proper: the forward operator *gathers* weighted
 //! grid values into the sample, the adjoint *scatters* the sample into the
 //! grid. The innermost dimension is contiguous in memory, so Part 2 rows go
-//! through the `nufft-simd` row kernels (SIMD-within-a-sample, §III-C);
-//! wrap-around rows are split into at most two contiguous segments.
+//! through the `nufft-simd` kernels (SIMD-within-a-sample, §III-C):
+//! the adjoint row by row, the 2D/3D forward as one whole-sample tile call
+//! per sample. Wrap-around rows are split into at most two contiguous
+//! segments, and wrapped outer indices are stepped incrementally — no
+//! division per row.
 //!
 //! Privatized tasks scatter into a local buffer in *unwrapped* coordinates
 //! (every neighbor of a task's samples lies within its halo box, so no mod
@@ -14,11 +17,15 @@
 //! global grid with wrapping.
 
 use crate::kernel::InterpKernel;
+use core::mem::MaybeUninit;
 use nufft_math::Complex32;
-use nufft_simd::{gather_row, gather_row2, scatter_row, scatter_row2};
+use nufft_simd::{gather_row, gather_tile, gather_tile2, scatter_row, scatter_row2, Tile};
 
 /// Maximum taps per dimension: `2W+1` with the paper's largest `W = 8`.
 pub const MAX_TAPS: usize = 17;
+
+// Every window's z-row must fit the whole-sample gather kernels.
+const _: () = assert!(MAX_TAPS <= nufft_simd::TILE_MAX_TAPS);
 
 /// One dimension's interpolation window for one sample (Part 1 output).
 #[derive(Clone, Copy, Debug)]
@@ -96,23 +103,55 @@ pub fn win_refs<const D: usize>(win: &[Window; D]) -> [WinRef<'_>; D] {
     core::array::from_fn(|d| win[d].as_ref())
 }
 
+/// `x mod m` for a window or halo start, by repeated addition rather than
+/// division: starts lie within a few grid extents of `[0, m)`.
 #[inline(always)]
 fn wrap(x: i32, m: usize) -> usize {
-    x.rem_euclid(m as i32) as usize
+    let m = m as i32;
+    let mut x = x;
+    while x < 0 {
+        x += m;
+    }
+    while x >= m {
+        x -= m;
+    }
+    x as usize
 }
 
-/// Scatters `val` along one (possibly wrapping) grid row: the innermost loop
-/// of the adjoint convolution.
+/// The wrapped successor of grid index `g` on an axis of extent `m`.
+#[inline(always)]
+fn step(g: usize, m: usize) -> usize {
+    if g + 1 == m {
+        0
+    } else {
+        g + 1
+    }
+}
+
+/// Wrapped grid indices of `len` consecutive taps from `start`, each
+/// multiplied by `stride` (the axis's element stride), into `out`.
+#[inline(always)]
+fn wrapped_offsets(start: i32, len: usize, m: usize, stride: usize, out: &mut [usize; MAX_TAPS]) {
+    let mut g = wrap(start, m);
+    for o in &mut out[..len] {
+        *o = g * stride;
+        g = step(g, m);
+    }
+}
+
+/// Scatters `val` along one (possibly wrapping) grid row whose first tap
+/// sits at wrapped offset `z0`: the innermost loop of the adjoint
+/// convolution.
 #[inline(always)]
 fn scatter_wrapped_row(
     grid: &mut [Complex32],
     row_base: usize,
     m_last: usize,
+    z0: usize,
     wz: WinRef<'_>,
     val: Complex32,
 ) {
     let n = wz.len();
-    let z0 = wrap(wz.start, m_last);
     if z0 + n <= m_last {
         scatter_row(&mut grid[row_base + z0..row_base + z0 + n], wz.w, val);
     } else {
@@ -122,59 +161,18 @@ fn scatter_wrapped_row(
     }
 }
 
-/// Gathers one (possibly wrapping) grid row weighted by `wz`.
+/// The 1D forward gather: one (possibly wrapping) row weighted by `w`.
 #[inline(always)]
-fn gather_wrapped_row(
-    grid: &[Complex32],
-    row_base: usize,
-    m_last: usize,
-    wz: WinRef<'_>,
-) -> Complex32 {
-    let n = wz.len();
-    let z0 = wrap(wz.start, m_last);
-    if z0 + n <= m_last {
-        gather_row(&grid[row_base + z0..row_base + z0 + n], wz.w)
+fn gather_wrapped_row(grid: &[Complex32], m: usize, w: WinRef<'_>) -> Complex32 {
+    let n = w.len();
+    let z0 = wrap(w.start, m);
+    if z0 + n <= m {
+        gather_row(&grid[z0..z0 + n], w.w)
     } else {
-        let first = m_last - z0;
-        let a = gather_row(&grid[row_base + z0..row_base + m_last], &wz.w[..first]);
-        let b = gather_row(&grid[row_base..row_base + n - first], &wz.w[first..]);
+        let first = m - z0;
+        let a = gather_row(&grid[z0..m], &w.w[..first]);
+        let b = gather_row(&grid[..n - first], &w.w[first..]);
         a + b
-    }
-}
-
-/// [`gather_wrapped_row`] over two channel grids sharing one weight row —
-/// bitwise-equal per channel to two independent one-grid gathers (the
-/// `gather_row2` kernels guarantee it per row, and the wrap split adds the
-/// two segments in the same order).
-#[inline(always)]
-fn gather_wrapped_row2(
-    ga: &[Complex32],
-    gb: &[Complex32],
-    row_base: usize,
-    m_last: usize,
-    wz: WinRef<'_>,
-) -> (Complex32, Complex32) {
-    let n = wz.len();
-    let z0 = wrap(wz.start, m_last);
-    if z0 + n <= m_last {
-        gather_row2(
-            &ga[row_base + z0..row_base + z0 + n],
-            &gb[row_base + z0..row_base + z0 + n],
-            wz.w,
-        )
-    } else {
-        let first = m_last - z0;
-        let (a0, b0) = gather_row2(
-            &ga[row_base + z0..row_base + m_last],
-            &gb[row_base + z0..row_base + m_last],
-            &wz.w[..first],
-        );
-        let (a1, b1) = gather_row2(
-            &ga[row_base..row_base + n - first],
-            &gb[row_base..row_base + n - first],
-            &wz.w[first..],
-        );
-        (a0 + a1, b0 + b1)
     }
 }
 
@@ -187,13 +185,14 @@ pub fn adjoint_scatter<const D: usize>(
     win: &[WinRef<'_>; D],
     val: Complex32,
 ) {
+    let z0 = wrap(win[D - 1].start, m[D - 1]);
     match D {
-        1 => scatter_wrapped_row(grid, 0, m[0], win[0], val),
+        1 => scatter_wrapped_row(grid, 0, m[0], z0, win[0], val),
         2 => {
-            for ix in 0..win[0].len() {
-                let gx = wrap(win[0].start + ix as i32, m[0]);
-                let f = val.scale(win[0].w[ix]);
-                scatter_wrapped_row(grid, gx * m[1], m[1], win[1], f);
+            let mut gx = wrap(win[0].start, m[0]);
+            for &fx in win[0].w {
+                scatter_wrapped_row(grid, gx * m[1], m[1], z0, win[1], val.scale(fx));
+                gx = step(gx, m[0]);
             }
         }
         3 => {
@@ -201,23 +200,22 @@ pub fn adjoint_scatter<const D: usize>(
             // when the z-row does not wrap, fuse pairs of y-rows through
             // scatter_row2 so one weight-expansion feeds two FMA rows.
             let lz = win[2].len();
-            let z0 = wrap(win[2].start, m[2]);
             let z_contiguous = z0 + lz <= m[2];
-            for ix in 0..win[0].len() {
-                let gx = wrap(win[0].start + ix as i32, m[0]);
-                let fx = win[0].w[ix];
+            let mut gys = [0usize; MAX_TAPS];
+            wrapped_offsets(win[1].start, win[1].len(), m[1], 1, &mut gys);
+            let mut gx = wrap(win[0].start, m[0]);
+            for &fx in win[0].w {
                 let mut iy = 0;
                 if z_contiguous {
                     while iy + 2 <= win[1].len() {
-                        let gy0 = wrap(win[1].start + iy as i32, m[1]);
-                        let gy1 = wrap(win[1].start + (iy + 1) as i32, m[1]);
                         let f0 = val.scale(fx * win[1].w[iy]);
                         let f1 = val.scale(fx * win[1].w[iy + 1]);
-                        let b0 = (gx * m[1] + gy0) * m[2] + z0;
-                        let b1 = (gx * m[1] + gy1) * m[2] + z0;
-                        // SAFETY: gy0 != gy1 (adjacent wrapped indices on a
-                        // grid of extent ≥ 2W+1 > 1), so the two rows are
-                        // disjoint subslices of `grid`.
+                        let b0 = (gx * m[1] + gys[iy]) * m[2] + z0;
+                        let b1 = (gx * m[1] + gys[iy + 1]) * m[2] + z0;
+                        // SAFETY: the two y indices are adjacent wrapped
+                        // indices on a grid of extent ≥ 2W+1 > 1, so they
+                        // differ and the rows are disjoint subslices of
+                        // `grid`.
                         let (r0, r1) = unsafe {
                             let base = grid.as_mut_ptr();
                             (
@@ -230,19 +228,66 @@ pub fn adjoint_scatter<const D: usize>(
                     }
                 }
                 while iy < win[1].len() {
-                    let gy = wrap(win[1].start + iy as i32, m[1]);
                     let f = val.scale(fx * win[1].w[iy]);
-                    scatter_wrapped_row(grid, (gx * m[1] + gy) * m[2], m[2], win[2], f);
+                    let base = (gx * m[1] + gys[iy]) * m[2];
+                    scatter_wrapped_row(grid, base, m[2], z0, win[2], f);
                     iy += 1;
                 }
+                gx = step(gx, m[0]);
             }
         }
         _ => unimplemented!("dimensions above 3 are not supported"),
     }
 }
 
+/// Most rows in one sample's 2D/3D tap box.
+const MAX_ROWS: usize = MAX_TAPS * MAX_TAPS;
+
+/// Builds one sample's 2D/3D tap box — each z-row's first tap and its
+/// outer weight, the z-row wrap split — on the stack and hands it to `f`.
+/// Row weights are `wx · wy` in 3D and `wx · 1 = wx` (exactly) in 2D, the
+/// factors the row-wise gather scaled each row by.
+#[inline(always)]
+fn with_tile<const D: usize, R>(
+    m: &[usize; D],
+    win: &[WinRef<'_>; D],
+    f: impl FnOnce(&Tile<'_>) -> R,
+) -> R {
+    let (mz, wz) = (m[D - 1], win[D - 1]);
+    let z0 = wrap(wz.start, mz);
+    let mut xs = [0usize; MAX_TAPS];
+    let mut ys = [0usize; MAX_TAPS];
+    let (wy, x_stride): (&[f32], usize) = if D == 3 { (win[1].w, m[1] * mz) } else { (&[1.0], mz) };
+    wrapped_offsets(win[0].start, win[0].len(), m[0], x_stride, &mut xs);
+    if D == 3 {
+        wrapped_offsets(win[1].start, win[1].len(), m[1], mz, &mut ys);
+    }
+    // Only the live prefix is written: zeroing all MAX_ROWS entries would
+    // cost a few kilobytes of stores per sample.
+    let mut row_starts = [MaybeUninit::<usize>::uninit(); MAX_ROWS];
+    let mut row_w = [MaybeUninit::<f32>::uninit(); MAX_ROWS];
+    let mut r = 0;
+    for (&x, &fx) in xs.iter().zip(win[0].w) {
+        for (&y, &fy) in ys.iter().zip(wy) {
+            row_starts[r].write(x + y + z0);
+            row_w[r].write(fx * fy);
+            r += 1;
+        }
+    }
+    // SAFETY: entries `..r` of both arrays were initialized above, and
+    // `MaybeUninit<T>` has the layout of `T`.
+    let (row_starts, row_w) = unsafe {
+        (
+            &*(&row_starts[..r] as *const [MaybeUninit<usize>] as *const [usize]),
+            &*(&row_w[..r] as *const [MaybeUninit<f32>] as *const [f32]),
+        )
+    };
+    f(&Tile { row_starts, row_w, w: wz.w, split: wz.len().min(mz - z0), period: mz })
+}
+
 /// Forward (gather) convolution of one sample from the global grid
-/// (Figure 2, Part 2a).
+/// (Figure 2, Part 2a). 2D/3D samples are one whole-sample
+/// [`gather_tile`] call.
 #[inline]
 pub fn forward_gather<const D: usize>(
     grid: &[Complex32],
@@ -250,40 +295,19 @@ pub fn forward_gather<const D: usize>(
     win: &[WinRef<'_>; D],
 ) -> Complex32 {
     match D {
-        1 => gather_wrapped_row(grid, 0, m[0], win[0]),
-        2 => {
-            let mut acc = Complex32::ZERO;
-            for ix in 0..win[0].len() {
-                let gx = wrap(win[0].start + ix as i32, m[0]);
-                let row = gather_wrapped_row(grid, gx * m[1], m[1], win[1]);
-                acc += row.scale(win[0].w[ix]);
-            }
-            acc
-        }
-        3 => {
-            let mut acc = Complex32::ZERO;
-            for ix in 0..win[0].len() {
-                let gx = wrap(win[0].start + ix as i32, m[0]);
-                let fx = win[0].w[ix];
-                for iy in 0..win[1].len() {
-                    let gy = wrap(win[1].start + iy as i32, m[1]);
-                    let row = gather_wrapped_row(grid, (gx * m[1] + gy) * m[2], m[2], win[2]);
-                    acc += row.scale(fx * win[1].w[iy]);
-                }
-            }
-            acc
-        }
+        1 => gather_wrapped_row(grid, m[0], win[0]),
+        2 | 3 => with_tile(m, win, |tile| gather_tile(grid, tile)),
         _ => unimplemented!("dimensions above 3 are not supported"),
     }
 }
 
 /// Channel-paired forward gather: one sample's window applied to two grids
-/// at once, amortizing the Part 1 lookup and the weight expansion across
-/// channels (the multi-channel forward driver's inner step).
+/// at once, sharing the Part 1 lookup, the row addressing and the weight
+/// expansion across channels (the multi-channel forward driver's inner
+/// step).
 ///
 /// Bitwise-equal per channel to two independent [`forward_gather`] calls:
-/// each channel's accumulator sees the identical operation sequence, and
-/// the paired row kernels guarantee per-row equality at every ISA level.
+/// [`gather_tile2`] guarantees it per tile at every ISA level.
 #[inline]
 pub fn forward_gather2<const D: usize>(
     ga: &[Complex32],
@@ -292,34 +316,8 @@ pub fn forward_gather2<const D: usize>(
     win: &[WinRef<'_>; D],
 ) -> (Complex32, Complex32) {
     match D {
-        1 => gather_wrapped_row2(ga, gb, 0, m[0], win[0]),
-        2 => {
-            let mut acc_a = Complex32::ZERO;
-            let mut acc_b = Complex32::ZERO;
-            for ix in 0..win[0].len() {
-                let gx = wrap(win[0].start + ix as i32, m[0]);
-                let (ra, rb) = gather_wrapped_row2(ga, gb, gx * m[1], m[1], win[1]);
-                acc_a += ra.scale(win[0].w[ix]);
-                acc_b += rb.scale(win[0].w[ix]);
-            }
-            (acc_a, acc_b)
-        }
-        3 => {
-            let mut acc_a = Complex32::ZERO;
-            let mut acc_b = Complex32::ZERO;
-            for ix in 0..win[0].len() {
-                let gx = wrap(win[0].start + ix as i32, m[0]);
-                let fx = win[0].w[ix];
-                for iy in 0..win[1].len() {
-                    let gy = wrap(win[1].start + iy as i32, m[1]);
-                    let base = (gx * m[1] + gy) * m[2];
-                    let (ra, rb) = gather_wrapped_row2(ga, gb, base, m[2], win[2]);
-                    acc_a += ra.scale(fx * win[1].w[iy]);
-                    acc_b += rb.scale(fx * win[1].w[iy]);
-                }
-            }
-            (acc_a, acc_b)
-        }
+        1 => (gather_wrapped_row(ga, m[0], win[0]), gather_wrapped_row(gb, m[0], win[0])),
+        2 | 3 => with_tile(m, win, |tile| gather_tile2(ga, gb, tile)),
         _ => unimplemented!("dimensions above 3 are not supported"),
     }
 }
@@ -379,43 +377,44 @@ pub fn reduce_local<const D: usize>(
     origin: &[i32; D],
     size: &[usize; D],
 ) {
+    let z0 = wrap(origin[D - 1], m[D - 1]);
     match D {
         1 => {
-            add_wrapped_row(grid, 0, m[0], origin[0], &buf[..size[0]]);
+            add_wrapped_row(grid, 0, m[0], z0, &buf[..size[0]]);
         }
         2 => {
-            for lx in 0..size[0] {
-                let gx = wrap(origin[0] + lx as i32, m[0]);
-                let row = &buf[lx * size[1]..(lx + 1) * size[1]];
-                add_wrapped_row(grid, gx * m[1], m[1], origin[1], row);
+            let mut gx = wrap(origin[0], m[0]);
+            for row in buf.chunks_exact(size[1]).take(size[0]) {
+                add_wrapped_row(grid, gx * m[1], m[1], z0, row);
+                gx = step(gx, m[0]);
             }
         }
         3 => {
-            for lx in 0..size[0] {
-                let gx = wrap(origin[0] + lx as i32, m[0]);
-                for ly in 0..size[1] {
-                    let gy = wrap(origin[1] + ly as i32, m[1]);
-                    let row =
-                        &buf[(lx * size[1] + ly) * size[2]..(lx * size[1] + ly + 1) * size[2]];
-                    add_wrapped_row(grid, (gx * m[1] + gy) * m[2], m[2], origin[2], row);
+            let gy0 = wrap(origin[1], m[1]);
+            let mut gx = wrap(origin[0], m[0]);
+            for slab in buf.chunks_exact(size[1] * size[2]).take(size[0]) {
+                let mut gy = gy0;
+                for row in slab.chunks_exact(size[2]) {
+                    add_wrapped_row(grid, (gx * m[1] + gy) * m[2], m[2], z0, row);
+                    gy = step(gy, m[1]);
                 }
+                gx = step(gx, m[0]);
             }
         }
         _ => unimplemented!("dimensions above 3 are not supported"),
     }
 }
 
-/// `grid[base + (origin + i) mod m] += row[i]`, split into contiguous runs.
+/// `grid[base + (z0 + i) mod m] += row[i]`, split into contiguous runs.
 #[inline]
 fn add_wrapped_row(
     grid: &mut [Complex32],
     row_base: usize,
     m_last: usize,
-    origin: i32,
+    z0: usize,
     row: &[Complex32],
 ) {
     debug_assert!(row.len() <= m_last, "privatized row wider than the grid");
-    let z0 = wrap(origin, m_last);
     if z0 + row.len() <= m_last {
         nufft_simd::accumulate(&mut grid[row_base + z0..row_base + z0 + row.len()], row);
     } else {

@@ -1385,6 +1385,11 @@ struct ForJob<'a, F> {
     /// two workers never split a cache line of contiguous output.
     align: usize,
     body: &'a F,
+    /// Indices not yet popped for execution. Decremented only after a pop
+    /// claims its range, so it never under-counts: a range a thief has
+    /// taken from its victim but not yet published in its own slot is
+    /// invisible in every slot, yet still counted here.
+    unclaimed: AtomicUsize,
     poisoned: AtomicBool,
     panic_payload: Mutex<Option<Box<dyn Any + Send + 'static>>>,
 }
@@ -1420,6 +1425,7 @@ where
             grain: grain.next_multiple_of(align),
             align,
             body,
+            unclaimed: AtomicUsize::new(n),
             poisoned: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
         }
@@ -1437,7 +1443,10 @@ where
             let end = (lo + self.grain).min(hi);
             match slot.compare_exchange_weak(cur, pack(end, hi), Ordering::SeqCst, Ordering::SeqCst)
             {
-                Ok(_) => return Some(lo..end),
+                Ok(_) => {
+                    self.unclaimed.fetch_sub(end - lo, Ordering::SeqCst);
+                    return Some(lo..end);
+                }
                 Err(actual) => cur = actual,
             }
         }
@@ -1493,8 +1502,12 @@ where
             return Step::Done;
         }
         // Runs exactly one chunk per step; never `Idle` — loop work only
-        // shrinks, so once every slot is empty this worker is done (chunks
-        // still in flight elsewhere are covered by the slot's pin drain).
+        // shrinks, so once every index is claimed this worker is done
+        // (chunks still running elsewhere are covered by the slot's pin
+        // drain). Empty slots alone do not prove that: a thief between
+        // emptying its victim and publishing the loot holds a range no
+        // slot shows, and a dispatcher that retired the loop then would
+        // leave all but the thief's next grain of it unrun.
         loop {
             if let Some(range) = self.pop_own(w) {
                 let result = catch_unwind(AssertUnwindSafe(|| (self.body)(range, w)));
@@ -1510,17 +1523,20 @@ where
                 }
                 return Step::Ran;
             }
-            if !self.steal_into(w) {
+            if self.steal_into(w) {
+                continue;
+            }
+            if self.unclaimed.load(Ordering::SeqCst) == 0 || self.poisoned.load(Ordering::SeqCst) {
                 return Step::Done;
             }
+            // Work is in transit: a steal not yet published in its thief's
+            // slot, or a pop not yet counted. Either settles shortly.
+            std::thread::yield_now();
         }
     }
 
     fn has_ready(&self) -> bool {
-        self.slots.iter().take(self.threads).any(|s| {
-            let (lo, hi) = unpack(s.0.load(Ordering::SeqCst));
-            lo < hi
-        })
+        self.unclaimed.load(Ordering::SeqCst) > 0
     }
 
     fn done(&self) -> bool {

@@ -158,3 +158,26 @@ fn both_backends_survive_the_same_stress() {
         assert_eq!(count.load(Ordering::SeqCst), 16, "{backend:?}");
     }
 }
+
+#[test]
+fn parallel_for_never_returns_before_stolen_ranges_run() {
+    // Regression: while a thief held a range taken from its victim but
+    // not yet published in its own slot, every slot could look empty.
+    // The dispatcher then retired the loop, and the thief ran one grain
+    // of the loot and abandoned the rest. Many short loops on an
+    // oversubscribed pool hit that window within a few hundred rounds.
+    let threads = stress_threads().max(4);
+    let exec = Executor::new(threads);
+    let hits: Vec<AtomicU32> = (0..200).map(|_| AtomicU32::new(0)).collect();
+    for round in 0..30_000 {
+        let n = 9 + round % 191;
+        exec.parallel_for_aligned(n, 1, 4, |range, _w| {
+            for i in range {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        for (i, h) in hits.iter().enumerate().take(n) {
+            assert_eq!(h.swap(0, Ordering::Relaxed), 1, "round {round}: index {i}");
+        }
+    }
+}

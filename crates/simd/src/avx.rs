@@ -5,6 +5,7 @@
 #![cfg(target_arch = "x86_64")]
 #![allow(unsafe_op_in_unsafe_fn)]
 
+use crate::tile::Tile;
 use core::arch::x86_64::*;
 use nufft_math::Complex32;
 
@@ -108,15 +109,7 @@ pub unsafe fn gather_row(src: &[Complex32], w: &[f32]) -> Complex32 {
         acc = _mm256_fmadd_ps(ww, s, acc);
         i += 4;
     }
-    // Fold four complex lanes down to one.
-    let lo = _mm256_castps256_ps128(acc);
-    let hi = _mm256_extractf128_ps(acc, 1);
-    let s4 = _mm_add_ps(lo, hi); // [r0+r2, i0+i2, r1+r3, i1+i3]
-    let s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-    let mut out = Complex32::new(_mm_cvtss_f32(s2), {
-        let im = _mm_shuffle_ps(s2, s2, 0b01);
-        _mm_cvtss_f32(im)
-    });
+    let mut out = fold4(acc);
     while i < n {
         let wi = *wp.add(i);
         let s = *src.get_unchecked(i);
@@ -127,65 +120,180 @@ pub unsafe fn gather_row(src: &[Complex32], w: &[f32]) -> Complex32 {
     out
 }
 
-/// Two-row gather with a shared weight row: one weight expansion feeds two
-/// independent accumulators (one per channel grid), amortizing the
-/// `dup_weights4` shuffle and filling both FMA ports on short rows.
-///
-/// Each accumulator sees exactly the sequence of operations [`gather_row`]
-/// would perform on its row alone — same vector adds, same fold, same
-/// scalar tail — so the result is bitwise-equal per row to two independent
-/// [`gather_row`] calls.
+/// Innermost weights of one tile segment in vector form: `q` full
+/// four-tap vectors, then — when the segment length is not a multiple of
+/// four — a zero-padded tail vector whose source taps are read through
+/// `mask`, so a tail never touches memory past its row.
+struct SegWeights {
+    v: [__m256; 5],
+    q: usize,
+    tail: bool,
+    mask: __m256i,
+}
+
+/// Expands a segment's weights once per sample. `w.len() ≤ 17`.
 ///
 /// # Safety
 /// The CPU must support AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-pub unsafe fn gather_row2(
-    src0: &[Complex32],
-    src1: &[Complex32],
+#[inline(always)]
+unsafe fn seg_weights(w: &[f32]) -> SegWeights {
+    let q = w.len() / 4;
+    let t = w.len() % 4;
+    let mut v = [_mm256_setzero_ps(); 5];
+    for (k, slot) in v.iter_mut().enumerate().take(q) {
+        *slot = dup_weights4(w.as_ptr().add(4 * k));
+    }
+    let mut pad = [0.0f32; 4];
+    pad[..t].copy_from_slice(&w[4 * q..]);
+    v[q] = dup_weights4(pad.as_ptr());
+    // f32 lane j is live when j < 2t (t complex taps).
+    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(2 * t as i32), lanes);
+    SegWeights { v, q, tail: t > 0, mask }
+}
+
+/// `Σ_i row[i]·w[i]` for one row segment starting at `p`, left in vector
+/// form (four complex partial sums).
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, and the segment's taps from `p` on
+/// must be readable.
+#[inline(always)]
+unsafe fn seg_row<const Q: usize>(p: *const f32, sw: &SegWeights) -> __m256 {
+    if Q == 0 {
+        return _mm256_mul_ps(sw.v[0], _mm256_maskload_ps(p, sw.mask));
+    }
+    let mut s = _mm256_mul_ps(sw.v[0], _mm256_loadu_ps(p));
+    for k in 1..Q {
+        s = _mm256_fmadd_ps(sw.v[k], _mm256_loadu_ps(p.add(8 * k)), s);
+    }
+    if sw.tail {
+        s = _mm256_fmadd_ps(sw.v[Q], _mm256_maskload_ps(p.add(8 * Q), sw.mask), s);
+    }
+    s
+}
+
+/// One tile segment over every row and `C` channel grids: row `r` reads
+/// from element `row_starts[r] + delta` (wrapping `usize` arithmetic, so
+/// a negative shift is allowed) and lands in accumulator `r % 2`.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, and every row's segment must lie in
+/// every grid.
+#[inline(always)]
+unsafe fn seg_pass<const Q: usize, const C: usize>(
+    grids: &[*const f32; C],
+    row_starts: &[usize],
+    row_w: &[f32],
+    delta: usize,
+    sw: &SegWeights,
+    acc: &mut [[__m256; 2]; C],
+) {
+    let rows = row_starts.len();
+    let at = |g: *const f32, r: usize| g.add(2 * row_starts.get_unchecked(r).wrapping_add(delta));
+    let mut r = 0;
+    while r + 2 <= rows {
+        let f0 = _mm256_set1_ps(*row_w.get_unchecked(r));
+        let f1 = _mm256_set1_ps(*row_w.get_unchecked(r + 1));
+        for c in 0..C {
+            let s0 = seg_row::<Q>(at(grids[c], r), sw);
+            let s1 = seg_row::<Q>(at(grids[c], r + 1), sw);
+            acc[c][0] = _mm256_fmadd_ps(f0, s0, acc[c][0]);
+            acc[c][1] = _mm256_fmadd_ps(f1, s1, acc[c][1]);
+        }
+        r += 2;
+    }
+    if r < rows {
+        let f0 = _mm256_set1_ps(*row_w.get_unchecked(r));
+        for c in 0..C {
+            let s0 = seg_row::<Q>(at(grids[c], r), sw);
+            acc[c][0] = _mm256_fmadd_ps(f0, s0, acc[c][0]);
+        }
+    }
+}
+
+/// Runs [`seg_pass`] for the segment `w` with its tap count as a constant.
+///
+/// # Safety
+/// As [`seg_pass`].
+#[inline(always)]
+unsafe fn seg_dispatch<const C: usize>(
+    grids: &[*const f32; C],
+    tile: &Tile<'_>,
     w: &[f32],
+    delta: usize,
+    acc: &mut [[__m256; 2]; C],
+) {
+    if w.is_empty() {
+        return;
+    }
+    let sw = seg_weights(w);
+    let (rs, rw) = (tile.row_starts, tile.row_w);
+    match sw.q {
+        0 => seg_pass::<0, C>(grids, rs, rw, delta, &sw, acc),
+        1 => seg_pass::<1, C>(grids, rs, rw, delta, &sw, acc),
+        2 => seg_pass::<2, C>(grids, rs, rw, delta, &sw, acc),
+        3 => seg_pass::<3, C>(grids, rs, rw, delta, &sw, acc),
+        _ => seg_pass::<4, C>(grids, rs, rw, delta, &sw, acc),
+    }
+}
+
+/// The whole-sample gather over `C` channel grids: both segments of every
+/// row feed two vector accumulators per channel, folded once at the end.
+/// Each channel's operation sequence is independent of `C`.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, and every tap of `tile` must lie in
+/// every grid.
+#[inline(always)]
+unsafe fn tile_channels<const C: usize>(grids: [*const f32; C], tile: &Tile<'_>) -> [Complex32; C] {
+    debug_assert!(tile.w.len() <= crate::tile::TILE_MAX_TAPS);
+    let mut acc = [[_mm256_setzero_ps(); 2]; C];
+    let (head, tail) = tile.w.split_at(tile.split);
+    seg_dispatch(&grids, tile, head, 0, &mut acc);
+    seg_dispatch(&grids, tile, tail, tile.split.wrapping_sub(tile.period), &mut acc);
+    let mut out = [Complex32::ZERO; C];
+    for (o, [a0, a1]) in out.iter_mut().zip(acc) {
+        *o = fold4(_mm256_add_ps(a0, a1));
+    }
+    out
+}
+
+/// Folds four complex lanes down to one.
+#[inline(always)]
+unsafe fn fold4(acc: __m256) -> Complex32 {
+    let lo = _mm256_castps256_ps128(acc);
+    let hi = _mm256_extractf128_ps(acc, 1);
+    let s4 = _mm_add_ps(lo, hi); // [r0+r2, i0+i2, r1+r3, i1+i3]
+    let s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
+    Complex32::new(_mm_cvtss_f32(s2), _mm_cvtss_f32(_mm_shuffle_ps(s2, s2, 0b01)))
+}
+
+/// Whole-sample gather (see [`crate::tile::gather_tile`]).
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA, and every tap of `tile` must lie in
+/// `grid` (checked by the dispatcher).
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn gather_tile(grid: &[Complex32], tile: &Tile<'_>) -> Complex32 {
+    let [out] = tile_channels([grid.as_ptr() as *const f32], tile);
+    out
+}
+
+/// Channel-paired whole-sample gather: one weight expansion and one pass
+/// over the row addresses feed both channels' accumulators, each seeing
+/// exactly [`gather_tile`]'s operation sequence.
+///
+/// # Safety
+/// As [`gather_tile`], for both grids.
+#[target_feature(enable = "avx2,fma")]
+pub unsafe fn gather_tile2(
+    ga: &[Complex32],
+    gb: &[Complex32],
+    tile: &Tile<'_>,
 ) -> (Complex32, Complex32) {
-    debug_assert_eq!(src0.len(), w.len());
-    debug_assert_eq!(src1.len(), w.len());
-    let n = w.len();
-    let p0 = src0.as_ptr() as *const f32;
-    let p1 = src1.as_ptr() as *const f32;
-    let wp = w.as_ptr();
-    let mut acc0 = _mm256_setzero_ps();
-    let mut acc1 = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 4 <= n {
-        let ww = dup_weights4(wp.add(i));
-        let s0 = _mm256_loadu_ps(p0.add(2 * i));
-        let s1 = _mm256_loadu_ps(p1.add(2 * i));
-        acc0 = _mm256_fmadd_ps(ww, s0, acc0);
-        acc1 = _mm256_fmadd_ps(ww, s1, acc1);
-        i += 4;
-    }
-    // Fold each accumulator exactly as gather_row does.
-    #[inline(always)]
-    unsafe fn fold(acc: __m256) -> Complex32 {
-        let lo = _mm256_castps256_ps128(acc);
-        let hi = _mm256_extractf128_ps(acc, 1);
-        let s4 = _mm_add_ps(lo, hi);
-        let s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-        Complex32::new(_mm_cvtss_f32(s2), {
-            let im = _mm_shuffle_ps(s2, s2, 0b01);
-            _mm_cvtss_f32(im)
-        })
-    }
-    let mut out0 = fold(acc0);
-    let mut out1 = fold(acc1);
-    while i < n {
-        let wi = *wp.add(i);
-        let a = *src0.get_unchecked(i);
-        let b = *src1.get_unchecked(i);
-        out0.re += a.re * wi;
-        out0.im += a.im * wi;
-        out1.re += b.re * wi;
-        out1.im += b.im * wi;
-        i += 1;
-    }
-    (out0, out1)
+    let [a, b] = tile_channels([ga.as_ptr() as *const f32, gb.as_ptr() as *const f32], tile);
+    (a, b)
 }
 
 /// `dst[i] += src[i]` over complex buffers, 8 floats per iteration.

@@ -4,8 +4,12 @@
 //! interpolation-kernel coordinates (Part 1) are computed one sample per SIMD
 //! lane, while the convolution itself (Part 2) vectorizes *within* a sample
 //! over the contiguous innermost grid dimension. This crate supplies the
-//! Part 2 primitives — complex *row* operations over interleaved
-//! `(re, im)` `f32` buffers — in three implementations:
+//! Part 2 primitives over interleaved `(re, im)` `f32` buffers: complex
+//! *row* operations ([`rows`]) for the adjoint scatter and the 1D gather,
+//! and *whole-sample* gathers ([`tile`]) for the 2D/3D forward
+//! interpolation, which dispatch once per sample, keep the tap box's
+//! running sum in vector registers across every row and fold once. Each
+//! comes in three implementations:
 //!
 //! * [`IsaLevel::Scalar`] — portable reference, always available;
 //! * [`IsaLevel::Sse2`] — 128-bit, 2 complex values per vector (the paper's
@@ -25,6 +29,7 @@ pub mod dispatch;
 pub mod fft_rows;
 pub mod horner;
 pub mod rows;
+pub mod tile;
 pub mod transpose;
 pub mod vecops;
 
@@ -34,6 +39,7 @@ mod sse;
 
 pub use dispatch::{active_isa, detect_isa, set_isa_override, IsaLevel};
 pub use horner::horner_row;
-pub use rows::{gather_row, gather_row2, scatter_row, scatter_row2};
+pub use rows::{gather_row, scatter_row, scatter_row2};
+pub use tile::{gather_tile, gather_tile2, Tile, TILE_MAX_TAPS};
 pub use transpose::{gather_chunks, gather_chunks_cmul, scatter_chunks};
 pub use vecops::{accumulate, dotc, scale_by_real, sum_norm_sqr};

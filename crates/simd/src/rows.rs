@@ -4,6 +4,10 @@
 //! forwards to the matching implementation. Rows in the NUFFT convolution are
 //! short (`2W` or `2W+1` complex values, i.e. 4–17), so dispatch overhead is
 //! kept to a single relaxed atomic load and a predictable branch.
+//!
+//! The adjoint scatters row by row. The 2D/3D forward gather does not: it
+//! goes through the whole-sample kernels of [`crate::tile`], and
+//! [`gather_row`] serves the 1D forward path.
 
 use crate::dispatch::{active_isa, IsaLevel};
 use crate::{avx, scalar, sse};
@@ -54,30 +58,6 @@ pub fn scatter_row2(
             scalar::scatter_row_strict(dst1, w, val1);
         }
         _ => scalar::scatter_row2(dst0, val0, dst1, val1, w),
-    }
-}
-
-/// Two-row gather with a shared weight row: the same window applied to two
-/// channel grids at once (multi-channel forward). Guaranteed bitwise-equal
-/// per row to two independent [`gather_row`] calls at every ISA level.
-///
-/// # Panics
-/// Panics if either source row length differs from `w.len()`.
-#[inline]
-pub fn gather_row2(src0: &[Complex32], src1: &[Complex32], w: &[f32]) -> (Complex32, Complex32) {
-    assert_eq!(src0.len(), w.len(), "row 0 length mismatch");
-    assert_eq!(src1.len(), w.len(), "row 1 length mismatch");
-    match active_isa() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: active_isa() only reports levels the host supports.
-        IsaLevel::Avx2Fma => unsafe { avx::gather_row2(src0, src1, w) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        IsaLevel::Sse2 => unsafe { sse::gather_row2(src0, src1, w) },
-        IsaLevel::StrictScalar => {
-            (scalar::gather_row_strict(src0, w), scalar::gather_row_strict(src1, w))
-        }
-        _ => scalar::gather_row2(src0, src1, w),
     }
 }
 
@@ -180,33 +160,6 @@ mod tests {
                         "scatter2 mismatch n={n} level={level:?}"
                     );
                 }
-            });
-        }
-    }
-
-    #[test]
-    fn gather_row2_is_bitwise_two_gather_rows() {
-        // The load-bearing contract: the pair kernel must be *bitwise*
-        // identical to two one-row gathers at every ISA level, else the
-        // channel-paired forward driver would break cross-mode equality.
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 11, 16, 17] {
-            let (g0, w) = demo_row(n);
-            let g1: Vec<Complex32> =
-                g0.iter().map(|z| Complex32::new(z.im * 1.5, z.re - 0.5)).collect();
-            for_each_isa(|level| {
-                let a = gather_row(&g0, &w);
-                let b = gather_row(&g1, &w);
-                let (pa, pb) = gather_row2(&g0, &g1, &w);
-                assert_eq!(
-                    (pa.re.to_bits(), pa.im.to_bits()),
-                    (a.re.to_bits(), a.im.to_bits()),
-                    "row0 mismatch n={n} level={level:?}"
-                );
-                assert_eq!(
-                    (pb.re.to_bits(), pb.im.to_bits()),
-                    (b.re.to_bits(), b.im.to_bits()),
-                    "row1 mismatch n={n} level={level:?}"
-                );
             });
         }
     }

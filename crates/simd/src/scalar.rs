@@ -4,6 +4,7 @@
 //! reassociation/FMA rounding). They are also the fallback on non-x86 hosts
 //! and the "scalar" arm of the Figure 13 SIMD-speedup experiment.
 
+use crate::tile::Tile;
 use nufft_math::{Complex32, Complex64};
 
 /// `dst[i] += val * w[i]` — the adjoint-convolution inner row (Fig. 2, 2b).
@@ -45,14 +46,39 @@ pub fn gather_row(src: &[Complex32], w: &[f32]) -> Complex32 {
     acc
 }
 
-/// Two-row gather sharing one weight row: gathers the same window from two
-/// channel grids at once (the multi-channel analogue of [`scatter_row2`]).
-/// The scalar form simply performs both rows, so every vector path that
-/// interleaves the two accumulators must stay bitwise-equal per row to two
-/// independent [`gather_row`] calls.
+/// Whole-sample gather (see [`crate::tile::gather_tile`]) in the
+/// historical row-by-row order: each row's contiguous segment is gathered,
+/// its wrapped segment gathered and added, and the row scaled into the
+/// running sample value.
 #[inline]
-pub fn gather_row2(src0: &[Complex32], src1: &[Complex32], w: &[f32]) -> (Complex32, Complex32) {
-    (gather_row(src0, w), gather_row(src1, w))
+pub fn gather_tile(grid: &[Complex32], tile: &Tile<'_>) -> Complex32 {
+    tile_rows(grid, tile, gather_row)
+}
+
+/// Strict-scalar variant of [`gather_tile`] (see [`scatter_row_strict`]).
+#[inline]
+pub fn gather_tile_strict(grid: &[Complex32], tile: &Tile<'_>) -> Complex32 {
+    tile_rows(grid, tile, gather_row_strict)
+}
+
+/// The row-by-row tile sum, with `row` as the per-segment gather.
+#[inline(always)]
+fn tile_rows(
+    grid: &[Complex32],
+    tile: &Tile<'_>,
+    row: impl Fn(&[Complex32], &[f32]) -> Complex32,
+) -> Complex32 {
+    let (head, tail) = tile.w.split_at(tile.split);
+    let mut acc = Complex32::ZERO;
+    for (&s, &rw) in tile.row_starts.iter().zip(tile.row_w) {
+        let mut v = row(&grid[s..s + head.len()], head);
+        if !tail.is_empty() {
+            let b = s + tile.split - tile.period;
+            v += row(&grid[b..b + tail.len()], tail);
+        }
+        acc += v.scale(rw);
+    }
+    acc
 }
 
 /// `dst[i] += src[i]` — privatized-buffer reduction (§III-B4).

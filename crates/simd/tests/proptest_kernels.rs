@@ -5,7 +5,8 @@
 
 use nufft_math::Complex32;
 use nufft_simd::{
-    accumulate, detect_isa, gather_row, scale_by_real, scatter_row, set_isa_override, IsaLevel,
+    accumulate, detect_isa, gather_row, gather_tile, scale_by_real, scatter_row, set_isa_override,
+    IsaLevel, Tile,
 };
 use nufft_testkit::prop_check;
 use std::sync::Mutex;
@@ -78,6 +79,62 @@ fn gather_matches_reference() {
             assert!(
                 (got.re - want.re).abs() <= 2e-3 && (got.im - want.im).abs() <= 2e-3,
                 "level {level:?}: {got:?} vs {want:?}"
+            );
+        }
+        set_isa_override(detect_isa()).unwrap();
+    });
+}
+
+/// The whole-sample gather at every ISA level against an `f64` sum from
+/// its definition: random tap counts 1..=17, row counts 1..=17², random
+/// row starts and row weights, contiguous or wrapping after a random
+/// split. The tolerance is relative to the sum of the terms' magnitudes,
+/// which does not depend on the summation order.
+#[test]
+fn gather_tile_matches_f64_reference() {
+    prop_check("gather_tile_matches_f64_reference", 0x51D_0007, 96, |rng| {
+        let taps = rng.gen_usize(1..18);
+        let rows = rng.gen_usize(1..17 * 17 + 1);
+        let period = taps + rng.gen_usize(0..24);
+        let lines = rng.gen_usize(1..40);
+        let grid = rng.gen_c32_vec(period * lines, 10.0);
+        let w = rng.gen_f32_vec(taps, -2.0..2.0);
+        let row_w = rng.gen_f32_vec(rows, -1.0..1.0);
+        let split = if rng.gen_bool() { taps } else { rng.gen_usize(1..taps + 1) };
+        // Rows start `split` taps before the end of some grid line, so the
+        // rest wrap to that line's start; contiguous rows start anywhere
+        // they fit.
+        let row_starts: Vec<usize> = (0..rows)
+            .map(|_| {
+                let line = rng.gen_usize(0..lines) * period;
+                if split < taps {
+                    line + period - split
+                } else {
+                    line + rng.gen_usize(0..period - taps + 1)
+                }
+            })
+            .collect();
+        let tile = Tile { row_starts: &row_starts, row_w: &row_w, w: &w, split, period };
+        let (mut re, mut im, mut mag) = (0.0f64, 0.0f64, 0.0f64);
+        for (&s, &rw) in row_starts.iter().zip(&row_w) {
+            for (i, &wi) in w.iter().enumerate() {
+                let z = if i < split { grid[s + i] } else { grid[s + i - period] };
+                let f = rw as f64 * wi as f64;
+                re += f * z.re as f64;
+                im += f * z.im as f64;
+                mag += f.abs() * (z.re.abs() + z.im.abs()) as f64;
+            }
+        }
+        let tol = 1e-5 * (1.0 + mag);
+        let _guard = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let mut levels = supported_levels();
+        levels.insert(0, IsaLevel::StrictScalar);
+        for level in levels {
+            set_isa_override(level).unwrap();
+            let got = gather_tile(&grid, &tile);
+            assert!(
+                (got.re as f64 - re).abs() <= tol && (got.im as f64 - im).abs() <= tol,
+                "level {level:?} taps={taps} rows={rows} split={split}: {got:?} vs ({re}, {im})"
             );
         }
         set_isa_override(detect_isa()).unwrap();
