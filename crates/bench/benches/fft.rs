@@ -47,8 +47,10 @@ fn bench_1d() {
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
     // 256/512: radix-4/2 paths; 300 = 2²·3·5²: mixed radix (the α=1.25
-    // Table IV grid); 688 = 16·43: Bluestein (the Table V grid).
-    for n in [256usize, 512, 300, 688] {
+    // Table IV grid); 688 = 16·43: Bluestein (the Table V grid); 2401 = 7⁴,
+    // 1430 = 2·5·11·13 and 11760 = 2⁴·3·5·7²: the odd radices type-3
+    // planning picks (`next_fast_len`).
+    for n in [256usize, 512, 300, 688, 2401, 1430, 11760] {
         let plan = Fft::new(n);
         let mut data = signal(n);
         let mut scratch = vec![Complex32::ZERO; plan.scratch_len()];

@@ -15,21 +15,20 @@
 //!
 //! Bit-identity: at a fixed ISA level the column kernels perform the same
 //! per-element arithmetic as the row kernels used by the per-line path, and
-//! the scalar combine below mirrors `Fft::recurse`'s scalar combine exactly
-//! (same `MIN_SIMD_M` branch), so a batched transform is bit-identical to
-//! transforming the same lines one at a time. `crates/fft/tests/
+//! both paths run every level through the same `butterflies::combine`, so a
+//! batched transform is bit-identical to transforming the same lines one at
+//! a time. `crates/fft/tests/
 //! proptest_fft.rs` pins this under every ISA override.
 
-use crate::butterflies::{bfly2, bfly3, bfly4, bfly5, bfly_generic, MAX_RADIX};
-use crate::plan::{Direction, Fft, Stage, MIN_SIMD_M};
+use crate::butterflies::{combine, Rows};
+use crate::plan::{Direction, Fft, Stage};
 use nufft_math::Complex32;
-use nufft_simd::fft_rows;
 
-/// Backward-direction twiddle/root tables for a stage slice, indexed
-/// parallel to the `stages` passed to [`recurse`]. Callers running a stage
-/// *suffix* (the four-step sub-FFT pass) slice the plan's full tables with
-/// the same offset, so `twiddles[level]` always matches `stages[level]`.
-pub(crate) type BwdView<'a> = (&'a [Vec<Complex32>], &'a [Vec<Complex32>]);
+/// Backward-direction twiddle tables for a stage slice, indexed parallel to
+/// the `stages` passed to [`recurse`]. Callers running a stage *suffix* (the
+/// four-step sub-FFT pass) slice the plan's full tables with the same offset,
+/// so `view[level]` always matches `stages[level]`.
+pub(crate) type BwdView<'a> = &'a [Vec<Complex32>];
 
 /// Transforms `b` interleaved lines held in `tile` (layout `[j·b + lane]`,
 /// `tile.len() == plan.len()·b`) in place. `work` is scratch of the same
@@ -52,10 +51,7 @@ pub(crate) fn transform_tile(
     work.copy_from_slice(tile);
     let bwd = match dir {
         Direction::Forward => None,
-        Direction::Backward => {
-            let t = plan.bwd_tables();
-            Some((&t.twiddles[..], &t.roots[..]))
-        }
+        Direction::Backward => Some(&plan.bwd_tables().twiddles[..]),
     };
     recurse(plan.stages(), 0, work, 0, 1, tile, b, bwd);
 }
@@ -101,52 +97,12 @@ pub(crate) fn recurse(
         );
     }
 
-    let forward = bwd.is_none();
     let tw = match bwd {
         None => &stage.twiddles[..],
-        Some((tws, _)) => &tws[level][..],
+        Some(tws) => &tws[level][..],
     };
-    match r {
-        2 if m >= MIN_SIMD_M => {
-            let (d0, d1) = dst.split_at_mut(m * b);
-            fft_rows::bfly2_cols(d0, d1, tw, b);
-        }
-        4 if m >= MIN_SIMD_M => {
-            let (d01, d23) = dst.split_at_mut(2 * m * b);
-            let (d0, d1) = d01.split_at_mut(m * b);
-            let (d2, d3) = d23.split_at_mut(m * b);
-            let (tw1, rest) = tw.split_at(m);
-            let (tw2, tw3) = rest.split_at(m);
-            fft_rows::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, b, forward);
-        }
-        _ => {
-            let roots = match bwd {
-                None => &stage.roots[..],
-                Some((_, rts)) => &rts[level][..],
-            };
-            let sign = if forward { -1.0f32 } else { 1.0 };
-            let mut t = [Complex32::ZERO; MAX_RADIX];
-            let mut s = [Complex32::ZERO; MAX_RADIX];
-            for k in 0..m {
-                for lane in 0..b {
-                    t[0] = dst[k * b + lane];
-                    for q in 1..r {
-                        t[q] = dst[(q * m + k) * b + lane] * tw[(q - 1) * m + k];
-                    }
-                    match r {
-                        2 => bfly2(&mut t[..2]),
-                        3 => bfly3(&mut t[..3], sign),
-                        4 => bfly4(&mut t[..4], sign),
-                        5 => bfly5(&mut t[..5], sign),
-                        _ => bfly_generic(&mut t[..r], &mut s[..r], roots),
-                    }
-                    for (k2, &v) in t[..r].iter().enumerate() {
-                        dst[(k2 * m + k) * b + lane] = v;
-                    }
-                }
-            }
-        }
-    }
+    let at = Rows { base: 0, step: m * b, toff: 0, kcount: m, lanes: b };
+    combine(r, m, tw, bwd.is_none(), false, dst, at);
 }
 
 #[cfg(test)]

@@ -23,21 +23,23 @@
 //!    slab from every block, the "blocked transpose"), all `j` combine levels
 //!    applied in cache, then one scatter to the output. The level-`(j-1)`
 //!    twiddle multiply is hoisted into the gather
-//!    ([`nufft_simd::gather_chunks_cmul`]) whenever that level takes the SIMD
-//!    kernel branch, so the transpose is a single read-modify-write sweep.
+//!    ([`nufft_simd::gather_chunks_cmul`]) whenever that level takes the
+//!    radix-2/4 SIMD kernel branch, so the transpose is a single
+//!    read-modify-write sweep.
 //!
 //! Bit-identity with the recursive path holds at every ISA level because
-//! (a) the sub-FFT pass runs the identical stage-suffix kernels, (b) the
-//! per-level kernel-regime decision (`radix ∈ {2,4} && m ≥ MIN_SIMD_M`)
-//! is reproduced exactly, and (c) within a regime the SIMD kernels are
+//! (a) the sub-FFT pass runs the identical stage-suffix recursion, (b) every
+//! combine level, here and there, is one call shape of the same
+//! `butterflies::combine`, whose kernel regime depends only on the stage's
+//! radix and `m`, and (c) within a regime the SIMD kernels are
 //! elementwise-uniform — `cmul4`, its broadcast form, and the `mul_add`
 //! tail produce identical bits per element (pinned in `nufft-simd`), so
 //! regrouping elements into different vector calls cannot change results.
 
 use crate::batch::BwdView;
-use crate::plan::{Fft, Stage, MIN_SIMD_M};
+use crate::butterflies::{combine, hoists_twiddles, Rows};
+use crate::plan::{Fft, Stage};
 use nufft_math::Complex32;
-use nufft_simd::fft_rows;
 
 /// Per-axis FFT execution strategy for [`crate::FftNd`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -78,10 +80,11 @@ pub(crate) struct FourStep {
     /// Combine k-block width (≤ `n2`, multiple of 8 unless clamped by `n2`).
     pub(crate) kb: usize,
     /// Whether the level-`(j-1)` twiddle multiply is hoisted into the
-    /// transpose gather. True exactly when that level takes the SIMD kernel
-    /// branch (`r_{j-1} ∈ {2,4}` and `n2 ≥ MIN_SIMD_M`), where the hoisted
-    /// complex multiply is the bitwise-identical FMA shape; scalar-regime
-    /// levels keep the plain multiply inside the combine loop.
+    /// transpose gather. True exactly when that level takes the radix-2/4
+    /// SIMD kernel branch (`r_{j-1} ∈ {2,4}` and `n2 ≥ MIN_SIMD_M`, see
+    /// `butterflies::hoists_twiddles`), where the hoisted complex multiply is
+    /// the kernels' own bitwise shape; every other level (radix-3/5/7 SIMD
+    /// kernels included) keeps the multiply inside its combine.
     pub(crate) fuse_gather: bool,
 }
 
@@ -113,8 +116,7 @@ impl FourStep {
         let n2 = n / p;
         let kb = (KBLOCK_TARGET_ELEMS / (p * b.max(1)).max(1)).max(8) & !7;
         let kb = kb.min(n2);
-        let r_last = stages[j - 1].radix;
-        let fuse_gather = (r_last == 2 || r_last == 4) && n2 >= MIN_SIMD_M;
+        let fuse_gather = hoists_twiddles(stages[j - 1].radix, n2);
         Some(FourStep { j, p, n2, kb, fuse_gather })
     }
 
@@ -174,90 +176,31 @@ impl FourStep {
         kbw: usize,
         lanes: usize,
     ) {
-        use crate::butterflies::{bfly2, bfly3, bfly4, bfly5, bfly_generic, MAX_RADIX};
         let forward = bwd.is_none();
-        let sign = if forward { -1.0f32 } else { 1.0 };
         let row = kbw * lanes;
         debug_assert_eq!(work.len(), self.p * row);
         for l in (0..self.j).rev() {
             let stage = &stages[l];
-            let r = stage.radix;
-            let m = stage.m;
+            let (r, m) = (stage.radix, stage.m);
             let big_m = m / self.n2;
             let groups = self.p / (r * big_m);
             let tw = match bwd {
                 None => &stage.twiddles[..],
-                Some((tws, _)) => &tws[l][..],
+                Some(tws) => &tws[l][..],
             };
-            let simd = (r == 2 || r == 4) && m >= MIN_SIMD_M;
-            let hoisted = self.fuse_gather && l == self.j - 1;
-            let step = big_m * row;
+            let twiddled = self.fuse_gather && l == self.j - 1;
             for g in 0..groups {
                 for bl in 0..big_m {
-                    let base = (g * r * big_m + bl) * row;
-                    // Absolute twiddle offset of this row's first element for
-                    // digit q is (q-1)·m + bl·n2 + k0.
-                    let toff = bl * self.n2 + k0;
-                    if simd && r == 2 {
-                        let (lo, hi) = work.split_at_mut(base + step);
-                        let d0 = &mut lo[base..base + row];
-                        let d1 = &mut hi[..row];
-                        if hoisted {
-                            fft_rows::bfly2_nt(d0, d1);
-                        } else if lanes == 1 {
-                            fft_rows::bfly2_rows(d0, d1, &tw[toff..toff + kbw]);
-                        } else {
-                            fft_rows::bfly2_cols(d0, d1, &tw[toff..toff + kbw], lanes);
-                        }
-                    } else if simd && r == 4 {
-                        let quad = &mut work[base..base + 3 * step + row];
-                        let (c0, rest) = quad.split_at_mut(step);
-                        let (c1, rest) = rest.split_at_mut(step);
-                        let (c2, c3) = rest.split_at_mut(step);
-                        let (d0, d1) = (&mut c0[..row], &mut c1[..row]);
-                        let (d2, d3) = (&mut c2[..row], &mut c3[..row]);
-                        if hoisted {
-                            fft_rows::bfly4_nt(d0, d1, d2, d3, forward);
-                        } else {
-                            let tw1 = &tw[toff..toff + kbw];
-                            let tw2 = &tw[m + toff..m + toff + kbw];
-                            let tw3 = &tw[2 * m + toff..2 * m + toff + kbw];
-                            if lanes == 1 {
-                                fft_rows::bfly4_rows(d0, d1, d2, d3, tw1, tw2, tw3, forward);
-                            } else {
-                                fft_rows::bfly4_cols(d0, d1, d2, d3, tw1, tw2, tw3, lanes, forward);
-                            }
-                        }
-                    } else {
-                        // Scalar regime: the exact per-element arithmetic of
-                        // the recursive combine (plain complex multiply at
-                        // every ISA level).
-                        let roots = match bwd {
-                            None => &stage.roots[..],
-                            Some((_, rts)) => &rts[l][..],
-                        };
-                        let mut t = [Complex32::ZERO; MAX_RADIX];
-                        let mut s = [Complex32::ZERO; MAX_RADIX];
-                        for kk in 0..kbw {
-                            for lane in 0..lanes {
-                                let at = base + kk * lanes + lane;
-                                t[0] = work[at];
-                                for q in 1..r {
-                                    t[q] = work[at + q * step] * tw[(q - 1) * m + toff + kk];
-                                }
-                                match r {
-                                    2 => bfly2(&mut t[..2]),
-                                    3 => bfly3(&mut t[..3], sign),
-                                    4 => bfly4(&mut t[..4], sign),
-                                    5 => bfly5(&mut t[..5], sign),
-                                    _ => bfly_generic(&mut t[..r], &mut s[..r], roots),
-                                }
-                                for (k2, &v) in t[..r].iter().enumerate() {
-                                    work[at + k2 * step] = v;
-                                }
-                            }
-                        }
-                    }
+                    // Digit q's row starts at base + q·step; its absolute
+                    // twiddle offset is (q-1)·m + bl·n2 + k0.
+                    let at = Rows {
+                        base: (g * r * big_m + bl) * row,
+                        step: big_m * row,
+                        toff: bl * self.n2 + k0,
+                        kcount: kbw,
+                        lanes,
+                    };
+                    combine(r, m, tw, forward, twiddled, work, at);
                 }
             }
         }

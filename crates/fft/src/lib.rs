@@ -4,10 +4,12 @@
 //! Cartesian transforms; this crate plays that role. It provides:
 //!
 //! * [`Fft`] — a 1D complex-to-complex plan: recursive decimation-in-time
-//!   mixed-radix Cooley–Tukey with specialized radix-2/3/4/5 butterflies,
-//!   generic small-prime butterflies up to 13, and Bluestein's chirp-z
+//!   mixed-radix Cooley–Tukey with radix-2/4 butterflies, one symmetric-pair
+//!   butterfly for the odd primes 3, 5, 7, 11 and 13 (SIMD row/column
+//!   kernels for radix 2, 3, 4, 5 and 7), and Bluestein's chirp-z
 //!   algorithm for lengths with larger prime factors (e.g. the 688 = 16·43
-//!   oversampled grid of the Table V dataset);
+//!   oversampled grid of the Table V dataset). Every combine level of every
+//!   execution path runs through one routine, so the paths agree bitwise;
 //! * [`FftNd`] — row-major n-dimensional transforms built from 1D line
 //!   transforms, executed in SIMD-friendly tiles of adjacent lines for
 //!   strided axes, with raw per-tile/per-line entry points that

@@ -409,10 +409,7 @@ impl FftNd {
         let stages = plan.stages();
         let bwd = match dir {
             Direction::Forward => None,
-            Direction::Backward => {
-                let t = plan.bwd_tables();
-                Some((&t.twiddles[..], &t.roots[..]))
-            }
+            Direction::Backward => Some(&plan.bwd_tables().twiddles[..]),
         };
         let (p, n2) = (four.p, four.n2);
         let n = self.shape[axis];
@@ -500,10 +497,7 @@ impl FftNd {
         let stages = plan.stages();
         let bwd = match dir {
             Direction::Forward => None,
-            Direction::Backward => {
-                let t = plan.bwd_tables();
-                Some((&t.twiddles[..], &t.roots[..]))
-            }
+            Direction::Backward => Some(&plan.bwd_tables().twiddles[..]),
         };
         let (p, n2) = (four.p, four.n2);
         let k0 = kblock * four.kb;
@@ -513,7 +507,7 @@ impl FftNd {
         let r_last = stages[four.j - 1].radix;
         let tw_last = match bwd {
             None => &stages[four.j - 1].twiddles[..],
-            Some((tws, _)) => &tws[four.j - 1][..],
+            Some(tws) => &tws[four.j - 1][..],
         };
         if stride == 1 {
             let start = tile * n;

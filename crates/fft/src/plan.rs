@@ -2,25 +2,14 @@
 //!
 //! A [`Fft`] is an immutable, `Sync` plan for one transform length: the
 //! factorization into radices, per-stage twiddle tables, and (when the length
-//! has a prime factor above `MAX_RADIX` (13)) a
-//! prepared Bluestein chirp. Plans are built once per NUFFT plan and shared
+//! has a prime factor above 13) a prepared Bluestein chirp. Plans are built once per NUFFT plan and shared
 //! across worker threads; execution takes caller-provided scratch so the hot
 //! path never allocates.
 
 use crate::bluestein::Bluestein;
-use crate::butterflies::{bfly2, bfly3, bfly4, bfly5, bfly_generic, generic_roots, MAX_RADIX};
+use crate::butterflies::{combine, Rows};
 use nufft_math::{Complex32, Complex64};
-use nufft_simd::fft_rows;
 use std::sync::OnceLock;
-
-/// Stages whose sub-transform length `m` is at least this use the dispatched
-/// SIMD row/column butterflies (`nufft_simd::fft_rows`); smaller stages stay
-/// on the inline scalar loop — at the bottom of the recursion there are many
-/// tiny combines (e.g. 256 radix-2 nodes with `m = 1` for n = 512) where
-/// dispatch overhead would dominate. The batched tile path in
-/// [`crate::batch`] branches on the *same* `m` threshold so both paths run
-/// the identical arithmetic per element (the bit-identity contract).
-pub(crate) const MIN_SIMD_M: usize = 4;
 
 /// Transform direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,19 +37,15 @@ pub(crate) struct Stage {
     /// Forward twiddles `W_{r·m}^{q·k}` for `q ∈ [1, r)`, `k ∈ [0, m)`,
     /// laid out `[(q-1)·m + k]`.
     pub(crate) twiddles: Vec<Complex32>,
-    /// `r×r` forward root table for the generic butterfly (empty for
-    /// specialized radices 2–5).
-    pub(crate) roots: Vec<Complex32>,
 }
 
-/// Backward-direction twiddle/root tables, one `Vec` per stage, each the
+/// Backward-direction twiddle tables, one `Vec` per stage, each the
 /// elementwise conjugate of the forward table. Built lazily on the first
 /// backward transform so a plan that only ever runs forward (e.g. the
 /// forward-only NUFFT, or Bluestein's inner convolution FFT) never pays the
 /// memory.
 pub(crate) struct BwdTables {
     pub(crate) twiddles: Vec<Vec<Complex32>>,
-    pub(crate) roots: Vec<Vec<Complex32>>,
 }
 
 enum Kind {
@@ -107,7 +92,7 @@ fn factorize(n: usize) -> Option<Vec<usize>> {
     if rem == 1 {
         Some(factors)
     } else {
-        None // contains a prime factor > MAX_RADIX
+        None // contains a prime factor above 13
     }
 }
 
@@ -136,8 +121,7 @@ impl Fft {
                             twiddles[(q - 1) * m + k] = Complex64::cis(angle).to_f32();
                         }
                     }
-                    let roots = if r > 5 { generic_roots(r) } else { Vec::new() };
-                    stages.push(Stage { radix: r, m, twiddles, roots });
+                    stages.push(Stage { radix: r, m, twiddles });
                     size = m;
                 }
                 Fft { n, stages, kind: Kind::CooleyTukey, bwd: OnceLock::new() }
@@ -172,7 +156,6 @@ impl Fft {
                 .iter()
                 .map(|s| s.twiddles.iter().map(|w| w.conj()).collect())
                 .collect(),
-            roots: self.stages.iter().map(|s| s.roots.iter().map(|w| w.conj()).collect()).collect(),
         })
     }
 
@@ -281,51 +264,12 @@ impl Fft {
             );
         }
 
-        // Combine: X[k + m·k2] = Σ_q W^{qk}·Y_q[k] · W_r^{q·k2}.
-        let forward = bwd.is_none();
         let tw = match bwd {
             None => &stage.twiddles[..],
             Some(t) => &t.twiddles[level][..],
         };
-        match r {
-            2 if m >= MIN_SIMD_M => {
-                let (d0, d1) = dst.split_at_mut(m);
-                fft_rows::bfly2_rows(d0, d1, tw);
-            }
-            4 if m >= MIN_SIMD_M => {
-                let (d01, d23) = dst.split_at_mut(2 * m);
-                let (d0, d1) = d01.split_at_mut(m);
-                let (d2, d3) = d23.split_at_mut(m);
-                let (tw1, rest) = tw.split_at(m);
-                let (tw2, tw3) = rest.split_at(m);
-                fft_rows::bfly4_rows(d0, d1, d2, d3, tw1, tw2, tw3, forward);
-            }
-            _ => {
-                let roots = match bwd {
-                    None => &stage.roots[..],
-                    Some(t) => &t.roots[level][..],
-                };
-                let sign = if forward { -1.0f32 } else { 1.0 };
-                let mut t = [Complex32::ZERO; MAX_RADIX];
-                let mut s = [Complex32::ZERO; MAX_RADIX];
-                for k in 0..m {
-                    t[0] = dst[k];
-                    for q in 1..r {
-                        t[q] = dst[q * m + k] * tw[(q - 1) * m + k];
-                    }
-                    match r {
-                        2 => bfly2(&mut t[..2]),
-                        3 => bfly3(&mut t[..3], sign),
-                        4 => bfly4(&mut t[..4], sign),
-                        5 => bfly5(&mut t[..5], sign),
-                        _ => bfly_generic(&mut t[..r], &mut s[..r], roots),
-                    }
-                    for (k2, &v) in t[..r].iter().enumerate() {
-                        dst[k2 * m + k] = v;
-                    }
-                }
-            }
-        }
+        let at = Rows { base: 0, step: m, toff: 0, kcount: m, lanes: 1 };
+        combine(r, m, tw, bwd.is_none(), false, dst, at);
     }
 }
 

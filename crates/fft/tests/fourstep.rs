@@ -36,12 +36,26 @@ fn assert_bits_eq(a: &[Complex32], b: &[Complex32], ctx: &str) {
 /// supports, both directions, for shapes covering: long 1D (pure stride-1),
 /// long strided axes, remainder tiles, mixed radices (96 = 2⁵·3,
 /// 120 = 2³·3·5, 300 = 2²·3·5²), a Bluestein extent (31, ineligible →
-/// recursive fallback inside the four-step plan), and small forced splits.
+/// recursive fallback inside the four-step plan), small forced splits, and
+/// odd-radix SIMD stages (`m ≥ 4`) on both sides of the split: 11760 =
+/// 2⁴·3·5·7² (contiguous), 2401 = 7⁴ strided (split between two radix-7
+/// levels) and 1001 = 7·11·13 contiguous (radix-7 combine level).
 #[test]
 fn fourstep_bit_identical_to_recursive_under_isa_overrides() {
     let _guard = ISA_LOCK.lock().unwrap();
-    const SHAPES: [&[usize]; 8] =
-        [&[4096], &[96, 8], &[8, 96], &[120, 5], &[31, 120], &[300, 3], &[48, 5, 12], &[16, 16]];
+    const SHAPES: [&[usize]; 11] = [
+        &[4096],
+        &[96, 8],
+        &[8, 96],
+        &[120, 5],
+        &[31, 120],
+        &[300, 3],
+        &[48, 5, 12],
+        &[16, 16],
+        &[11760],
+        &[2401, 4],
+        &[4, 1001],
+    ];
     let detected = detect_isa();
     let levels = [IsaLevel::StrictScalar, IsaLevel::Scalar, IsaLevel::Sse2, IsaLevel::Avx2Fma];
     for &level in levels.iter().filter(|&&l| l <= detected) {

@@ -39,10 +39,10 @@ fn round_trip_is_identity() {
 /// a large prime factor, which take the Bluestein chirp-z route.
 #[test]
 fn round_trip_mixed_radix_and_bluestein() {
-    const MIXED_RADIX: [usize; 8] = [6, 30, 60, 300, 360, 500, 720, 960];
+    const MIXED_RADIX: [usize; 10] = [6, 30, 60, 300, 360, 500, 720, 960, 2401, 1001];
     const BLUESTEIN: [usize; 8] = [7, 97, 127, 251, 499, 688, 743, 1009];
     prop_check("round_trip_mixed_radix_and_bluestein", 0xFF7_0003, 32, |rng| {
-        let pool = if rng.gen_bool() { &MIXED_RADIX } else { &BLUESTEIN };
+        let pool: &[usize] = if rng.gen_bool() { &MIXED_RADIX } else { &BLUESTEIN };
         let n = pool[rng.gen_usize(0..pool.len())];
         let x = rng.gen_c32_vec(n, 2.0);
         let plan = Fft::new(n);
@@ -120,12 +120,23 @@ fn circular_shift_theorem() {
 /// per-line path for every shape, direction, and ISA level — the contract
 /// that lets the scheduler pick either path freely. Shapes cover batched
 /// mixed-radix strided axes (96 = 2⁵·3, 120, 126 = 2·3²·7), a Bluestein
-/// extent (31) that exercises the per-line fallback, and 3D remainder tiles.
+/// extent (31) that exercises the per-line fallback, 3D remainder tiles,
+/// and odd-radix SIMD stages (`m ≥ 4`): 11760 = 2⁴·3·5·7², a strided 7⁴ axis
+/// and a contiguous 1001 = 7·11·13 axis.
 #[test]
 fn batched_bit_identical_to_per_line_under_isa_overrides() {
     use nufft_simd::{detect_isa, set_isa_override, IsaLevel};
-    const SHAPES: [&[usize]; 6] =
-        [&[96, 8], &[120, 5], &[31, 12], &[8, 126], &[16, 3, 10], &[12, 18]];
+    const SHAPES: [&[usize]; 9] = [
+        &[96, 8],
+        &[120, 5],
+        &[31, 12],
+        &[8, 126],
+        &[16, 3, 10],
+        &[12, 18],
+        &[11760],
+        &[2401, 4],
+        &[4, 1001],
+    ];
     let detected = detect_isa();
     let levels = [IsaLevel::StrictScalar, IsaLevel::Scalar, IsaLevel::Sse2, IsaLevel::Avx2Fma];
     prop_check("batched_bit_identical_to_per_line", 0xFF7_0008, 16, |rng| {

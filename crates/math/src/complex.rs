@@ -123,8 +123,11 @@ macro_rules! impl_complex {
             }
 
             /// Fused multiply-accumulate `self + a*b` written to encourage FMA
-            /// contraction by the optimizer.
+            /// contraction by the optimizer. Outside FMA-enabled code each
+            /// `mul_add` below is an out-of-line libm call; keep it off hot
+            /// paths.
             #[inline(always)]
+            #[allow(clippy::disallowed_methods)] // reason: the fused operation is this method's contract
             pub fn mul_add(self, a: Self, b: Self) -> Self {
                 Self {
                     re: a.re.mul_add(b.re, (-a.im).mul_add(b.im, self.re)),

@@ -1,4 +1,6 @@
-//! Dispatched complex-SIMD FFT stage butterflies (radix-2 / radix-4).
+//! Dispatched complex-SIMD FFT stage butterflies (radix 2, 3, 4, 5 and 7),
+//! and the symmetric-pair odd-prime butterfly [`bfly_odd`] that the scalar
+//! FFT path and the radix-3/5/7 kernels share.
 //!
 //! These are the vector butterflies of the FFT execution path (EFFT-style
 //! cache-blocked execution): a Cooley–Tukey combine stage applies the same
@@ -22,7 +24,11 @@
 //! plain `Complex32` operator arithmetic of the scalar butterflies in
 //! `nufft-fft` (SSE2 matches it too — its lane ops are the same
 //! mul/add/sub, only commuted where IEEE addition commutes exactly);
-//! `Avx2Fma` contracts with FMA and therefore only matches itself.
+//! `Avx2Fma` contracts the twiddle multiply with FMA and therefore only
+//! matches itself. The odd-radix kernels get this by construction: the
+//! butterfly is one generic function over a lane-arithmetic trait
+//! implemented for `Complex32`, `__m128` and `__m256`, each op one IEEE
+//! operation per float.
 //!
 //! `StrictScalar` arms defeat auto-vectorization with per-element
 //! `black_box`, preserving the Figure-13-style ISA comparison for the FFT
@@ -198,6 +204,225 @@ pub fn bfly4_cols(
     }
 }
 
+/// In-place R-point DFT for an odd prime `R ∈ {3, 5, 7, 11, 13}`, in
+/// symmetric-pair form: with `p_j = t_j + t_{R−j}` and `m_j = t_j − t_{R−j}`
+/// (`j ∈ [1, R/2]`),
+///
+/// `X_k, X_{R−k} = t_0 + Σ_j cos(2πjk/R)·p_j ± sign·i·Σ_j sin(2πjk/R)·m_j`.
+///
+/// About `(R−1)²/2` real-by-complex products instead of the `R²` complex
+/// products of a root-table DFT, all plain multiply/add (no `mul_add`, which
+/// is an out-of-line libm call unless FMA is enabled); the cos/sin
+/// constants are compile-time per radix. `sign` is −1 for forward, +1 for
+/// backward. The vector arms of [`bfly_odd_rows`] / [`bfly_odd_cols`] run
+/// this exact operation sequence on every lane.
+#[inline(always)]
+pub fn bfly_odd<const R: usize>(t: &mut [Complex32; R], sign: f32) {
+    odd_bfly(t, sign);
+}
+
+/// One radix-`R` combine stage (`R ∈ {3, 5, 7}`) over contiguous rows:
+/// sub-row `q` is `d[q·step..][..len]`, and element `k` of sub-row `q ≥ 1`
+/// is multiplied by `tw[(q−1)·tw_step + k]` before the [`bfly_odd`]
+/// butterfly across the `R` sub-rows.
+///
+/// # Panics
+/// Panics if the sub-rows overlap (`step < len`), `d` is shorter than
+/// `(R−1)·step + len`, or the twiddle rows do not fit `tw`.
+#[inline]
+pub fn bfly_odd_rows<const R: usize>(
+    d: &mut [Complex32],
+    step: usize,
+    tw: &[Complex32],
+    tw_step: usize,
+    len: usize,
+    forward: bool,
+) {
+    check_odd::<R>(d.len(), step, tw.len(), tw_step, len, 1);
+    match active_isa() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: active_isa() only reports levels the host supports; the
+        // bounds were checked above.
+        IsaLevel::Avx2Fma => unsafe {
+            avx2::bfly_odd_rows::<R>(d, step, tw, tw_step, len, forward)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        IsaLevel::Sse2 => unsafe { sse2::bfly_odd_rows::<R>(d, step, tw, tw_step, len, forward) },
+        IsaLevel::StrictScalar => strict::bfly_odd_cols::<R>(d, step, tw, tw_step, len, 1, forward),
+        _ => scalar::bfly_odd_cols::<R>(d, step, tw, tw_step, len, 1, forward),
+    }
+}
+
+/// Radix-`R` combine over `b` interleaved lines (`R ∈ {3, 5, 7}`): element
+/// `k` of line `lane` in sub-row `q` is `d[q·step + k·b + lane]`, and
+/// `tw[(q−1)·tw_step + k]` is broadcast across the `b` lanes (see
+/// [`bfly2_cols`] for the layout, [`bfly_odd_rows`] for the butterfly).
+///
+/// # Panics
+/// Panics if `b == 0` or the geometry does not fit as in [`bfly_odd_rows`]
+/// (sub-rows of `len·b` elements).
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn bfly_odd_cols<const R: usize>(
+    d: &mut [Complex32],
+    step: usize,
+    tw: &[Complex32],
+    tw_step: usize,
+    len: usize,
+    b: usize,
+    forward: bool,
+) {
+    assert!(b > 0, "batch width must be positive");
+    check_odd::<R>(d.len(), step, tw.len(), tw_step, len, b);
+    match active_isa() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: active_isa() only reports levels the host supports; the
+        // bounds were checked above.
+        IsaLevel::Avx2Fma => unsafe {
+            avx2::bfly_odd_cols::<R>(d, step, tw, tw_step, len, b, forward)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        IsaLevel::Sse2 => unsafe {
+            sse2::bfly_odd_cols::<R>(d, step, tw, tw_step, len, b, forward)
+        },
+        IsaLevel::StrictScalar => strict::bfly_odd_cols::<R>(d, step, tw, tw_step, len, b, forward),
+        _ => scalar::bfly_odd_cols::<R>(d, step, tw, tw_step, len, b, forward),
+    }
+}
+
+/// The bounds every odd-radix arm relies on for its unchecked accesses.
+fn check_odd<const R: usize>(
+    d_len: usize,
+    step: usize,
+    tw_len: usize,
+    tw_step: usize,
+    len: usize,
+    b: usize,
+) {
+    assert!(matches!(R, 3 | 5 | 7), "vector odd butterflies cover radix 3, 5 and 7");
+    let row = len * b;
+    assert!(step >= row && d_len >= (R - 1) * step + row, "odd-radix row geometry mismatch");
+    assert!(tw_step >= len && tw_len >= (R - 2) * tw_step + len, "twiddle row length mismatch");
+}
+
+/// Complex lane arithmetic [`odd_bfly`] is written against: one
+/// `Complex32`, or a vector of interleaved complex values. Every op is one
+/// IEEE operation per float, so the scalar and vector instances of the
+/// butterfly round identically lane for lane.
+trait Lanes: Copy {
+    fn add(self, o: Self) -> Self;
+    fn sub(self, o: Self) -> Self;
+    /// Both parts times a real constant.
+    fn scale(self, c: f32) -> Self;
+    /// `sign·i·self` for `sign = ±1`: a swap and a sign flip, exact.
+    fn rot(self, sign: f32) -> Self;
+}
+
+impl Lanes for Complex32 {
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self + o
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        self - o
+    }
+    #[inline(always)]
+    fn scale(self, c: f32) -> Self {
+        Complex32::scale(self, c)
+    }
+    #[inline(always)]
+    fn rot(self, sign: f32) -> Self {
+        Complex32::new(-sign * self.im, sign * self.re)
+    }
+}
+
+/// `cos(2πi/R)` and `sin(2πi/R)` for `i ∈ [1, R/2]` (entry `i − 1`),
+/// correctly rounded to `f32`; unused entries are zero.
+struct OddRoots<const R: usize>;
+
+impl<const R: usize> OddRoots<R> {
+    const COS_SIN: ([f32; 6], [f32; 6]) = match R {
+        3 => ([-0.5, 0.0, 0.0, 0.0, 0.0, 0.0], [0.866_025_4, 0.0, 0.0, 0.0, 0.0, 0.0]),
+        5 => (
+            [0.309_017, -0.809_017, 0.0, 0.0, 0.0, 0.0],
+            [0.951_056_54, 0.587_785_24, 0.0, 0.0, 0.0, 0.0],
+        ),
+        7 => (
+            [0.623_489_8, -0.222_520_93, -0.900_968_85, 0.0, 0.0, 0.0],
+            [0.781_831_5, 0.974_927_9, 0.433_883_73, 0.0, 0.0, 0.0],
+        ),
+        11 => (
+            [0.841_253_5, 0.415_415_02, -0.142_314_84, -0.654_860_73, -0.959_493, 0.0],
+            [0.540_640_83, 0.909_631_97, 0.989_821_43, 0.755_749_6, 0.281_732_56, 0.0],
+        ),
+        13 => (
+            [0.885_456, 0.568_064_75, 0.120_536_68, -0.354_604_9, -0.748_510_8, -0.970_941_84],
+            [0.464_723_17, 0.822_983_86, 0.992_708_86, 0.935_016_2, 0.663_122_65, 0.239_315_66],
+        ),
+        _ => panic!("odd butterfly radix must be 3, 5, 7, 11 or 13"),
+    };
+}
+
+/// The symmetric-pair butterfly of [`bfly_odd`] over any [`Lanes`] type.
+/// Sums run in increasing `j`.
+#[inline(always)]
+fn odd_bfly<V: Lanes, const R: usize>(t: &mut [V; R], sign: f32) {
+    let (cos, sin) = OddRoots::<R>::COS_SIN;
+    let h = R / 2;
+    let a = t[0];
+    let mut p = [a; 6];
+    let mut m = [a; 6];
+    let mut sum = a;
+    for j in 1..=h {
+        p[j - 1] = t[j].add(t[R - j]);
+        m[j - 1] = t[j].sub(t[R - j]);
+        sum = sum.add(p[j - 1]);
+    }
+    for k in 1..=h {
+        // j = 1 contributes cos/sin(2πk/R); later j use (jk mod R), folded
+        // into [1, R/2] by symmetry.
+        let mut re = a.add(p[0].scale(cos[k - 1]));
+        let mut im = m[0].scale(sin[k - 1]);
+        for j in 2..=h {
+            let i = (j * k) % R;
+            let (c, s) =
+                if i <= h { (cos[i - 1], sin[i - 1]) } else { (cos[R - i - 1], -sin[R - i - 1]) };
+            re = re.add(p[j - 1].scale(c));
+            im = im.add(m[j - 1].scale(s));
+        }
+        let rot = im.rot(sign);
+        t[k] = re.add(rot);
+        t[R - k] = re.sub(rot);
+    }
+    t[0] = sum;
+}
+
+/// One element of a radix-`R` combine: element `i` of sub-row `q ≥ 1`
+/// times its twiddle `w(q)` (multiplied by `mul`, the arm's scalar complex
+/// multiply), then [`odd_bfly`] across the `R` sub-rows `step` apart.
+#[inline(always)]
+fn odd_one<const R: usize>(
+    d: &mut [Complex32],
+    step: usize,
+    i: usize,
+    w: impl Fn(usize) -> Complex32,
+    mul: impl Fn(Complex32, Complex32) -> Complex32,
+    sign: f32,
+) {
+    let mut t = [Complex32::ZERO; R];
+    t[0] = d[i];
+    for q in 1..R {
+        t[q] = mul(d[q * step + i], w(q));
+    }
+    odd_bfly(&mut t, sign);
+    for (q, &v) in t.iter().enumerate() {
+        d[q * step + i] = v;
+    }
+}
+
 /// Scalar reference arms: plain `Complex32` operator arithmetic, identical
 /// element-for-element to the scalar butterflies in `nufft-fft`.
 mod scalar {
@@ -332,6 +557,25 @@ mod scalar {
             }
         }
     }
+
+    /// Radix-`R` combine, one element at a time; rows are the `b = 1` case.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn bfly_odd_cols<const R: usize>(
+        d: &mut [Complex32],
+        step: usize,
+        tw: &[Complex32],
+        tw_step: usize,
+        len: usize,
+        b: usize,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        for k in 0..len {
+            for i in k * b..(k + 1) * b {
+                super::odd_one::<R>(d, step, i, |q| tw[(q - 1) * tw_step + k], |a, w| a * w, sign);
+            }
+        }
+    }
 }
 
 /// Strict-scalar arms: per-element `black_box` forces element-at-a-time
@@ -460,6 +704,32 @@ mod strict {
             }
         }
     }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn bfly_odd_cols<const R: usize>(
+        d: &mut [Complex32],
+        step: usize,
+        tw: &[Complex32],
+        tw_step: usize,
+        len: usize,
+        b: usize,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        let mut t = [Complex32::ZERO; R];
+        for k in 0..len {
+            for i in k * b..(k + 1) * b {
+                t[0] = *black_box(&d[i]);
+                for q in 1..R {
+                    t[q] = *black_box(&d[q * step + i]) * tw[(q - 1) * tw_step + k];
+                }
+                super::odd_bfly(&mut t, sign);
+                for (q, &v) in t.iter().enumerate() {
+                    d[q * step + i] = v;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -482,6 +752,14 @@ mod sse2 {
                                       // Negate the real lanes of t2, then add: re = ar·wr − ai·wi.
         let neg_re = _mm_castsi128_ps(_mm_set_epi32(0, i32::MIN, 0, i32::MIN));
         _mm_add_ps(t1, _mm_xor_ps(t2, neg_re))
+    }
+
+    /// Broadcast-twiddle complex multiply, the lane arithmetic of [`cmul2`].
+    #[inline(always)]
+    unsafe fn cmul2_bcast(x: __m128, wr: __m128, wi: __m128) -> __m128 {
+        let neg_re = _mm_castsi128_ps(_mm_set_epi32(0, i32::MIN, 0, i32::MIN));
+        let xsw = _mm_shuffle_ps(x, x, 0b1011_0001);
+        _mm_add_ps(_mm_mul_ps(x, wr), _mm_xor_ps(_mm_mul_ps(xsw, wi), neg_re))
     }
 
     /// `sign·i·z` per complex lane: swap re/im then negate one lane.
@@ -655,14 +933,11 @@ mod sse2 {
         for (k, &w) in tw.iter().enumerate() {
             let wr = _mm_set1_ps(w.re);
             let wi = _mm_set1_ps(w.im);
-            let neg_re = _mm_castsi128_ps(_mm_set_epi32(0, i32::MIN, 0, i32::MIN));
             let mut lane = 0;
             while lane + 2 <= b {
                 let o = 2 * (k * b + lane);
                 let a = _mm_loadu_ps(p0.add(o));
-                let x = _mm_loadu_ps(p1.add(o));
-                let xsw = _mm_shuffle_ps(x, x, 0b1011_0001);
-                let t = _mm_add_ps(_mm_mul_ps(x, wr), _mm_xor_ps(_mm_mul_ps(xsw, wi), neg_re));
+                let t = cmul2_bcast(_mm_loadu_ps(p1.add(o)), wr, wi);
                 _mm_storeu_ps(p0.add(o), _mm_add_ps(a, t));
                 _mm_storeu_ps(p1.add(o), _mm_sub_ps(a, t));
                 lane += 2;
@@ -696,7 +971,6 @@ mod sse2 {
         let sign = if forward { -1.0f32 } else { 1.0 };
         let (p0, p1) = (d0.as_mut_ptr() as *mut f32, d1.as_mut_ptr() as *mut f32);
         let (p2, p3) = (d2.as_mut_ptr() as *mut f32, d3.as_mut_ptr() as *mut f32);
-        let neg_re = _mm_castsi128_ps(_mm_set_epi32(0, i32::MIN, 0, i32::MIN));
         for k in 0..tw1.len() {
             let (w1, w2, w3) = (tw1[k], tw2[k], tw3[k]);
             let (w1r, w1i) = (_mm_set1_ps(w1.re), _mm_set1_ps(w1.im));
@@ -706,14 +980,9 @@ mod sse2 {
             while lane + 2 <= b {
                 let o = 2 * (k * b + lane);
                 let a = _mm_loadu_ps(p0.add(o));
-                let bcast_mul = |p: *mut f32, wr: __m128, wi: __m128| {
-                    let x = _mm_loadu_ps(p);
-                    let xsw = _mm_shuffle_ps(x, x, 0b1011_0001);
-                    _mm_add_ps(_mm_mul_ps(x, wr), _mm_xor_ps(_mm_mul_ps(xsw, wi), neg_re))
-                };
-                let bb = bcast_mul(p1.add(o), w1r, w1i);
-                let c = bcast_mul(p2.add(o), w2r, w2i);
-                let d = bcast_mul(p3.add(o), w3r, w3i);
+                let bb = cmul2_bcast(_mm_loadu_ps(p1.add(o)), w1r, w1i);
+                let c = cmul2_bcast(_mm_loadu_ps(p2.add(o)), w2r, w2i);
+                let d = cmul2_bcast(_mm_loadu_ps(p3.add(o)), w3r, w3i);
                 let s02 = _mm_add_ps(a, c);
                 let d02 = _mm_sub_ps(a, c);
                 let s13 = _mm_add_ps(bb, d);
@@ -732,6 +1001,103 @@ mod sse2 {
                 d1[i] = x1;
                 d2[i] = x2;
                 d3[i] = x3;
+                lane += 1;
+            }
+        }
+    }
+
+    impl super::Lanes for __m128 {
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            unsafe { _mm_add_ps(self, o) }
+        }
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            unsafe { _mm_sub_ps(self, o) }
+        }
+        #[inline(always)]
+        fn scale(self, c: f32) -> Self {
+            unsafe { _mm_mul_ps(self, _mm_set1_ps(c)) }
+        }
+        #[inline(always)]
+        fn rot(self, sign: f32) -> Self {
+            unsafe { rot90_2(self, sign < 0.0) }
+        }
+    }
+
+    /// # Safety
+    /// See [`bfly2_rows`]; the caller checked the geometry (`check_odd`).
+    #[target_feature(enable = "sse2")]
+    pub(super) unsafe fn bfly_odd_rows<const R: usize>(
+        d: &mut [Complex32],
+        step: usize,
+        tw: &[Complex32],
+        tw_step: usize,
+        len: usize,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        let pd = d.as_mut_ptr() as *mut f32;
+        let pw = tw.as_ptr() as *const f32;
+        let mut t = [_mm_setzero_ps(); R];
+        let mut k = 0;
+        while k + 2 <= len {
+            t[0] = _mm_loadu_ps(pd.add(2 * k));
+            for (q, tq) in t.iter_mut().enumerate().skip(1) {
+                let x = _mm_loadu_ps(pd.add(2 * (q * step + k)));
+                *tq = cmul2(x, _mm_loadu_ps(pw.add(2 * ((q - 1) * tw_step + k))));
+            }
+            super::odd_bfly(&mut t, sign);
+            for (q, &v) in t.iter().enumerate() {
+                _mm_storeu_ps(pd.add(2 * (q * step + k)), v);
+            }
+            k += 2;
+        }
+        while k < len {
+            super::odd_one::<R>(d, step, k, |q| tw[(q - 1) * tw_step + k], |a, w| a * w, sign);
+            k += 1;
+        }
+    }
+
+    /// # Safety
+    /// See [`bfly_odd_rows`].
+    #[target_feature(enable = "sse2")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn bfly_odd_cols<const R: usize>(
+        d: &mut [Complex32],
+        step: usize,
+        tw: &[Complex32],
+        tw_step: usize,
+        len: usize,
+        b: usize,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        let pd = d.as_mut_ptr() as *mut f32;
+        let mut t = [_mm_setzero_ps(); R];
+        let (mut wr, mut wi) = ([_mm_setzero_ps(); R], [_mm_setzero_ps(); R]);
+        for k in 0..len {
+            for q in 1..R {
+                let w = tw[(q - 1) * tw_step + k];
+                wr[q] = _mm_set1_ps(w.re);
+                wi[q] = _mm_set1_ps(w.im);
+            }
+            let mut lane = 0;
+            while lane + 2 <= b {
+                let o = k * b + lane;
+                t[0] = _mm_loadu_ps(pd.add(2 * o));
+                for q in 1..R {
+                    t[q] = cmul2_bcast(_mm_loadu_ps(pd.add(2 * (q * step + o))), wr[q], wi[q]);
+                }
+                super::odd_bfly(&mut t, sign);
+                for (q, &v) in t.iter().enumerate() {
+                    _mm_storeu_ps(pd.add(2 * (q * step + o)), v);
+                }
+                lane += 2;
+            }
+            while lane < b {
+                let w = |q: usize| tw[(q - 1) * tw_step + k];
+                super::odd_one::<R>(d, step, k * b + lane, w, |a, w| a * w, sign);
                 lane += 1;
             }
         }
@@ -766,6 +1132,7 @@ mod avx2 {
     /// Scalar tail op matching [`cmul4`] bit-for-bit (FMA contraction via
     /// `mul_add`, which lowers to the same fused operation).
     #[inline(always)]
+    #[allow(clippy::disallowed_methods)] // reason: only inlined into `avx2,fma` code, where it is one vfmadd
     fn cmul_one(a: Complex32, w: Complex32) -> Complex32 {
         let tr = a.im * w.im;
         let ti = a.re * w.im;
@@ -1052,6 +1419,104 @@ mod avx2 {
             }
         }
     }
+
+    impl super::Lanes for __m256 {
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            unsafe { _mm256_add_ps(self, o) }
+        }
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            unsafe { _mm256_sub_ps(self, o) }
+        }
+        #[inline(always)]
+        fn scale(self, c: f32) -> Self {
+            unsafe { _mm256_mul_ps(self, _mm256_set1_ps(c)) }
+        }
+        #[inline(always)]
+        fn rot(self, sign: f32) -> Self {
+            unsafe { rot90_4(self, sign < 0.0) }
+        }
+    }
+
+    /// # Safety
+    /// See [`bfly2_rows`]; the caller checked the geometry (`check_odd`).
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn bfly_odd_rows<const R: usize>(
+        d: &mut [Complex32],
+        step: usize,
+        tw: &[Complex32],
+        tw_step: usize,
+        len: usize,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        let pd = d.as_mut_ptr() as *mut f32;
+        let pw = tw.as_ptr() as *const f32;
+        let mut t = [_mm256_setzero_ps(); R];
+        let mut k = 0;
+        while k + 4 <= len {
+            t[0] = _mm256_loadu_ps(pd.add(2 * k));
+            for (q, tq) in t.iter_mut().enumerate().skip(1) {
+                let x = _mm256_loadu_ps(pd.add(2 * (q * step + k)));
+                *tq = cmul4(x, _mm256_loadu_ps(pw.add(2 * ((q - 1) * tw_step + k))));
+            }
+            super::odd_bfly(&mut t, sign);
+            for (q, &v) in t.iter().enumerate() {
+                _mm256_storeu_ps(pd.add(2 * (q * step + k)), v);
+            }
+            k += 4;
+        }
+        while k < len {
+            super::odd_one::<R>(d, step, k, |q| tw[(q - 1) * tw_step + k], cmul_one, sign);
+            k += 1;
+        }
+    }
+
+    /// # Safety
+    /// See [`bfly_odd_rows`].
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn bfly_odd_cols<const R: usize>(
+        d: &mut [Complex32],
+        step: usize,
+        tw: &[Complex32],
+        tw_step: usize,
+        len: usize,
+        b: usize,
+        forward: bool,
+    ) {
+        let sign = if forward { -1.0f32 } else { 1.0 };
+        let pd = d.as_mut_ptr() as *mut f32;
+        let mut t = [_mm256_setzero_ps(); R];
+        let (mut wr, mut wi) = ([_mm256_setzero_ps(); R], [_mm256_setzero_ps(); R]);
+        for k in 0..len {
+            for q in 1..R {
+                let w = tw[(q - 1) * tw_step + k];
+                wr[q] = _mm256_set1_ps(w.re);
+                wi[q] = _mm256_set1_ps(w.im);
+            }
+            let mut lane = 0;
+            while lane + 4 <= b {
+                let o = k * b + lane;
+                t[0] = _mm256_loadu_ps(pd.add(2 * o));
+                for q in 1..R {
+                    let x = _mm256_loadu_ps(pd.add(2 * (q * step + o)));
+                    t[q] = cmul4_bcast(x, wr[q], wi[q]);
+                }
+                super::odd_bfly(&mut t, sign);
+                for (q, &v) in t.iter().enumerate() {
+                    _mm256_storeu_ps(pd.add(2 * (q * step + o)), v);
+                }
+                lane += 4;
+            }
+            while lane < b {
+                let w = |q: usize| tw[(q - 1) * tw_step + k];
+                super::odd_one::<R>(d, step, k * b + lane, w, cmul_one, sign);
+                lane += 1;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1230,6 +1695,169 @@ mod tests {
                 });
             }
         }
+    }
+
+    fn odd_rows(r: usize, d: &mut [Complex32], step: usize, tw: &[Complex32], m: usize, fwd: bool) {
+        match r {
+            3 => bfly_odd_rows::<3>(d, step, tw, m, m, fwd),
+            5 => bfly_odd_rows::<5>(d, step, tw, m, m, fwd),
+            7 => bfly_odd_rows::<7>(d, step, tw, m, m, fwd),
+            _ => unreachable!(),
+        }
+    }
+
+    fn odd_cols(
+        r: usize,
+        d: &mut [Complex32],
+        step: usize,
+        tw: &[Complex32],
+        m: usize,
+        b: usize,
+        fwd: bool,
+    ) {
+        match r {
+            3 => bfly_odd_cols::<3>(d, step, tw, m, m, b, fwd),
+            5 => bfly_odd_cols::<5>(d, step, tw, m, m, b, fwd),
+            7 => bfly_odd_cols::<7>(d, step, tw, m, m, b, fwd),
+            _ => unreachable!(),
+        }
+    }
+
+    fn odd_reference(t: &mut [Complex32], sign: f32) {
+        match t.len() {
+            3 => bfly_odd::<3>(t.try_into().unwrap(), sign),
+            5 => bfly_odd::<5>(t.try_into().unwrap(), sign),
+            7 => bfly_odd::<7>(t.try_into().unwrap(), sign),
+            _ => unreachable!(),
+        }
+    }
+
+    /// The radix-3/5/7 kernels: within 1e-5 of an f64 oracle at every
+    /// level; cols == rows bitwise at every level; the Scalar and SSE2 arms
+    /// equal the plain scalar reference (twiddle multiply, then
+    /// [`bfly_odd`]) bitwise. Sub-rows sit `step > m·b` apart so the gaps
+    /// must stay untouched.
+    #[test]
+    fn odd_kernels_match_oracle_reference_and_each_other() {
+        for r in [3usize, 5, 7] {
+            for (m, b) in [(1usize, 1usize), (3, 2), (4, 4), (5, 3), (9, 4), (13, 5), (8, 1)] {
+                let tw: Vec<Complex32> = (1..r)
+                    .flat_map(|q| {
+                        (0..m).map(move |k| {
+                            let th = -core::f64::consts::TAU * (q * k) as f64 / (r * m) as f64;
+                            Complex64::cis(th).to_f32()
+                        })
+                    })
+                    .collect();
+                let step = m * b + 3;
+                let d0 = demo((r - 1) * step + m * b, r as u32);
+                for forward in [true, false] {
+                    let sign = if forward { -1.0f32 } else { 1.0 };
+                    // Plain scalar reference and f64 oracle per (k, lane).
+                    let mut reference = d0.clone();
+                    let mut oracle = vec![Complex64::ZERO; d0.len()];
+                    for k in 0..m {
+                        for i in k * b..(k + 1) * b {
+                            let mut t: Vec<Complex32> = (0..r)
+                                .map(|q| {
+                                    let x = d0[q * step + i];
+                                    if q == 0 {
+                                        x
+                                    } else {
+                                        x * tw[(q - 1) * m + k]
+                                    }
+                                })
+                                .collect();
+                            for k2 in 0..r {
+                                oracle[k2 * step + i] = (0..r)
+                                    .map(|q| {
+                                        let w = if q == 0 {
+                                            Complex64::ONE
+                                        } else {
+                                            tw[(q - 1) * m + k].to_f64()
+                                        };
+                                        let th = f64::from(sign)
+                                            * core::f64::consts::TAU
+                                            * (q * k2) as f64
+                                            / r as f64;
+                                        d0[q * step + i].to_f64() * w * Complex64::cis(th)
+                                    })
+                                    .sum();
+                            }
+                            odd_reference(&mut t, sign);
+                            for (q, v) in t.iter().enumerate() {
+                                reference[q * step + i] = *v;
+                            }
+                        }
+                    }
+                    for_each_isa(|level| {
+                        let mut cols = d0.clone();
+                        odd_cols(r, &mut cols, step, &tw, m, b, forward);
+                        // Rows: each lane on its own, sub-rows m apart.
+                        let mut rows = d0.clone();
+                        for lane in 0..b {
+                            let mut line: Vec<Complex32> = (0..r)
+                                .flat_map(|q| (0..m).map(move |k| (q, k)))
+                                .map(|(q, k)| d0[q * step + k * b + lane])
+                                .collect();
+                            odd_rows(r, &mut line, m, &tw, m, forward);
+                            for q in 0..r {
+                                for k in 0..m {
+                                    rows[q * step + k * b + lane] = line[q * m + k];
+                                }
+                            }
+                        }
+                        let ctx = format!("r={r} m={m} b={b} fwd={forward} {level:?}");
+                        for (i, ((c, w), o)) in cols.iter().zip(&rows).zip(&oracle).enumerate() {
+                            assert!(
+                                c.re.to_bits() == w.re.to_bits()
+                                    && c.im.to_bits() == w.im.to_bits(),
+                                "{ctx} i={i}: cols {c:?} vs rows {w:?}"
+                            );
+                            if i % step >= m * b {
+                                assert_eq!(*c, d0[i], "{ctx} i={i}: gap written");
+                            } else {
+                                assert!(
+                                    (c.to_f64() - *o).abs() < 1e-5,
+                                    "{ctx} i={i}: {c:?} vs {o:?}"
+                                );
+                            }
+                        }
+                        if matches!(level, IsaLevel::Scalar | IsaLevel::Sse2) {
+                            let bits = |v: &[Complex32]| -> Vec<(u32, u32)> {
+                                v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                            };
+                            assert_eq!(bits(&cols), bits(&reference), "{ctx}: not the reference");
+                        }
+                    });
+                }
+            }
+        }
+    }
+
+    /// The compile-time constants are `cos/sin(2πi/R)` correctly rounded.
+    #[test]
+    fn odd_root_constants_are_correctly_rounded() {
+        fn check_r<const R: usize>() {
+            let (cos, sin) = OddRoots::<R>::COS_SIN;
+            for i in 1..=R / 2 {
+                let th = core::f64::consts::TAU * i as f64 / R as f64;
+                assert_eq!(cos[i - 1], th.cos() as f32, "cos R={R} i={i}");
+                assert_eq!(sin[i - 1], th.sin() as f32, "sin R={R} i={i}");
+            }
+        }
+        check_r::<3>();
+        check_r::<5>();
+        check_r::<7>();
+        check_r::<11>();
+        check_r::<13>();
+    }
+
+    #[test]
+    #[should_panic(expected = "odd-radix row geometry mismatch")]
+    fn odd_rows_reject_overlapping_rows() {
+        let mut d = vec![Complex32::ZERO; 12];
+        bfly_odd_rows::<3>(&mut d, 3, &twiddles(8), 4, 4, true);
     }
 
     #[test]

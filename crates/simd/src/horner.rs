@@ -60,6 +60,7 @@ pub fn horner_row(coeffs: &[f32], stride: usize, rows: usize, z: f32, out: &mut 
 /// Scalar reference: one correctly rounded `mul_add` chain per piece. Also
 /// the SSE2 arm — fusing is what keeps the levels bitwise-identical, and
 /// 128-bit SSE2 has no fused multiply-add to vectorize with.
+#[allow(clippy::disallowed_methods)] // reason: the correctly rounded reference every arm matches
 pub(crate) fn horner_row_scalar(
     coeffs: &[f32],
     stride: usize,
@@ -79,6 +80,7 @@ pub(crate) fn horner_row_scalar(
 /// Strict-scalar arm: identical arithmetic with auto-vectorization defeated
 /// per element, so the SIMD-speedup experiments measure a genuinely scalar
 /// baseline.
+#[allow(clippy::disallowed_methods)] // reason: same correctly rounded chain as the scalar reference
 fn horner_row_strict(coeffs: &[f32], stride: usize, rows: usize, z: f32, out: &mut [f32]) {
     for (i, o) in out.iter_mut().enumerate() {
         let mut acc = core::hint::black_box(coeffs[i]);

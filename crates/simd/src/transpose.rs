@@ -291,6 +291,7 @@ mod avx2 {
     /// Scalar tail matching the vector `fmaddsub` complex multiply
     /// bit-for-bit (same shape as `fft_rows::avx2::cmul_one`).
     #[inline(always)]
+    #[allow(clippy::disallowed_methods)] // reason: only inlined into `avx2,fma` code, where it is one vfmadd
     fn cmul_one(a: Complex32, w: Complex32) -> Complex32 {
         let tr = a.im * w.im;
         let ti = a.re * w.im;
@@ -425,6 +426,7 @@ mod tests {
     /// bitwise (plain mul below AVX2, `mul_add` contraction at AVX2) — the
     /// contract that lets the four-step hoist its twiddle pass in here.
     #[test]
+    #[allow(clippy::disallowed_methods)] // reason: test oracle for the AVX2 fused shape
     fn gather_cmul_matches_reference_shapes() {
         for (chunks, chunk_len, stride) in
             [(6usize, 4usize, 7usize), (8, 1, 1), (5, 3, 3), (4, 2, 9)]
