@@ -5,7 +5,7 @@
 //! convolution cells with their privatization reductions, and
 //! gather/extract chunks — through a single `run_dag_reuse` call, so the
 //! executor never joins between phases. The phased mode is the historical
-//! pipeline: one `parallel_for`/`run_graph` dispatch per phase with a full
+//! pipeline: one `parallel_for`/spread-DAG dispatch per phase with a full
 //! join after each. Both produce bit-identical output (see
 //! `tests/scheduler_consistency.rs`), so this benchmark isolates pure
 //! join-elimination benefit.

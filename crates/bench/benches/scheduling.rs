@@ -3,7 +3,7 @@
 //! `nufft-testkit` harness.
 
 use nufft_parallel::exec::Executor;
-use nufft_parallel::graph::{QueuePolicy, TaskGraph};
+use nufft_parallel::graph::{DagBuilder, QueuePolicy, TaskGraph};
 use nufft_parallel::queue::{Entry, ReadyQueue};
 use nufft_sim::{simulate, LinearCost};
 use nufft_testkit::bench::{black_box, BenchGroup};
@@ -57,9 +57,12 @@ fn main() {
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(400));
     let graph = skewed_graph(12);
+    let mut builder = DagBuilder::new();
+    builder.add_task_graph(&graph, |t, _p| t as u64, |t, _p| graph.weight(t));
+    let dag = builder.build();
     let exec = Executor::new(2);
-    g.bench_function("run_graph_144_tasks_noop", |b| {
-        b.iter(|| exec.run_graph(&graph, QueuePolicy::Priority, |_t, _p, _w| {}))
+    g.bench_function("run_dag_144_tasks_noop", |b| {
+        b.iter(|| exec.run_dag(&dag, QueuePolicy::Priority, |_v, _tag, _w| {}))
     });
     g.bench_function("parallel_for_100k_noop", |b| {
         b.iter(|| {

@@ -109,7 +109,7 @@ struct Summary {
 }
 
 /// Records `arm`'s median as the minimum of the interleaved repetitions
-/// (noise only ever adds time; see `benches/pool.rs`).
+/// (noise only ever adds time; see `benches/fused.rs`).
 fn record_min(medians: &mut BTreeMap<String, f64>, arm: String, median_ns: f64) {
     let slot = medians.entry(arm).or_insert(f64::INFINITY);
     *slot = slot.min(median_ns);

@@ -20,8 +20,8 @@
 //! * **`Conv`/`Priv`/`Reduce`** — the adjoint scatter tasks with their
 //!   Gray-code exclusion edges carried over verbatim, privatized tasks
 //!   split into a dependency-free `Priv` convolve and a `Reduce` that
-//!   inherits the edges (exactly the phased protocol, now as two plain
-//!   nodes joined by an edge);
+//!   inherits the edges (the task graph's one lowering,
+//!   [`DagBuilder::add_task_graph`]);
 //! * **`Gather`** (forward) — a chunk of one task's samples (so a chunk's
 //!   kernel windows stay inside that task's halo box);
 //! * **`Extract`** (adjoint) — a contiguous image chunk.
@@ -32,10 +32,11 @@
 //! fragment function and its data dependencies through one `connect_*`
 //! function; the whole-operator builders ([`build_forward`],
 //! [`build_adjoint`], [`build_spread`]) are thin compositions of those
-//! fragments instead of bespoke compilers. The spread-only graph is the
-//! adjoint's zero + scatter fragments with nothing downstream — same node
-//! bodies, same exclusion edges, so it stays bitwise-equal to the phased
-//! spread.
+//! fragments instead of bespoke compilers. The spread graph
+//! ([`build_spread`], run by every `SpreadOp` apply) is the adjoint's
+//! zero + scatter fragments with nothing downstream — same node bodies,
+//! same exclusion edges, so it stays bitwise-equal to the fused adjoint's
+//! scatter.
 //!
 //! ## Edge construction
 //!
@@ -67,16 +68,17 @@
 //! fixed by the Gray-code edges (adjacent tasks are totally ordered, and
 //! the direction of each edge — not the schedule — decides who goes
 //! first). Those edges are copied into the fused graph unchanged, every
-//! node kind executes the identical code the phased drivers run, and the
-//! slab/chunk decompositions partition their domains; so fused output is
-//! bitwise equal to phased output at any thread count, backend and ISA —
-//! pinned by `tests/scheduler_consistency.rs`.
+//! node kind executes the identical code the phased path runs (the scatter
+//! and gather bodies are shared with `crate::stage`), and the slab/chunk
+//! decompositions partition their domains; so fused output is bitwise
+//! equal to phased output at any thread count and ISA — pinned by
+//! `tests/scheduler_consistency.rs`.
 
-use crate::grid::Geometry;
+use crate::grid::{strides, Geometry};
 use crate::tasks::Preprocess;
 use nufft_fft::FftNd;
 use nufft_math::Complex32;
-use nufft_parallel::exec::DagRunStats;
+use nufft_parallel::exec::{DagRunStats, TaskPhase};
 use nufft_parallel::graph::{Dag, DagBuilder, NodeId};
 
 /// Complex elements per 64-byte cache line (slab/chunk boundaries are
@@ -551,36 +553,32 @@ fn emit_zero_fragment(
     base
 }
 
-/// Spread-stage fragment (adjoint scatter): privatized tasks as a
-/// `(Priv → Reduce)` pair, others as a single `Conv` node, plus the
-/// Gray-code exclusion edges **verbatim** — this is what fixes the
-/// per-cell summation order and hence bitwise output. Returns
-/// `conv_shared[t]`, the node carrying task `t`'s shared-grid writes (and
-/// hence its ordering edges).
+/// Spread-stage fragment (adjoint scatter): the task graph lowered by
+/// [`DagBuilder::add_task_graph`] — privatized tasks as a `(Priv → Reduce)`
+/// pair, others as a single `Conv` node, plus the Gray-code exclusion edges
+/// **verbatim**, which fix the per-cell summation order and hence bitwise
+/// output. Returns `conv_shared[t]`, the node carrying task `t`'s
+/// shared-grid writes (and hence its ordering edges).
 fn emit_spread_fragment<const D: usize>(
     builder: &mut DagBuilder,
     pre: &Preprocess<D>,
     channels: usize,
 ) -> Vec<NodeId> {
-    let graph = &pre.graph;
-    let mut conv_shared: Vec<NodeId> = Vec::with_capacity(graph.len());
-    for t in 0..graph.len() {
-        let samples = (pre.ranges[t].end - pre.ranges[t].start) as u64;
-        if let Some(region) = pre.regions[t] {
-            let p = builder.add_node(tag(KIND_PRIV, 0, 0, t), samples * W_SAMPLE);
-            let r = builder.add_node(tag(KIND_REDUCE, 0, 0, t), (region.len() * channels) as u64);
-            builder.add_edge(p, r);
-            conv_shared.push(r);
-        } else {
-            conv_shared.push(builder.add_node(tag(KIND_CONV, 0, 0, t), samples * W_SAMPLE));
-        }
-    }
-    for t in 0..graph.len() {
-        for p in graph.preds(t) {
-            builder.add_edge(conv_shared[p], conv_shared[t]);
-        }
-    }
-    conv_shared
+    builder.add_task_graph(
+        &pre.graph,
+        |t, phase| {
+            let kind = match phase {
+                TaskPhase::Normal => KIND_CONV,
+                TaskPhase::PrivateConvolve => KIND_PRIV,
+                TaskPhase::Reduce => KIND_REDUCE,
+            };
+            tag(kind, 0, 0, t)
+        },
+        |t, phase| match (phase, pre.regions[t]) {
+            (TaskPhase::Reduce, Some(region)) => (region.len() * channels) as u64,
+            _ => pre.ranges[t].len() as u64 * W_SAMPLE,
+        },
+    )
 }
 
 /// FFT-stage fragment: per-channel, per-axis node runs (with the
@@ -664,7 +662,7 @@ struct Axis0Wiring<'a> {
 #[allow(clippy::too_many_arguments)]
 fn connect_spread_edges<const D: usize>(
     builder: &mut DagBuilder,
-    geo: &Geometry<D>,
+    m: &[usize; D],
     pre: &Preprocess<D>,
     wc: usize,
     zero_base: NodeId,
@@ -672,8 +670,8 @@ fn connect_spread_edges<const D: usize>(
     slab: usize,
     fft_out: Option<Axis0Wiring<'_>>,
 ) {
-    let nslabs = geo.grid_len().div_ceil(slab);
-    let gs = geo.grid_strides();
+    let nslabs = m.iter().product::<usize>().div_ceil(slab);
+    let gs = strides(m);
     let mut slab_stamp = Stamp::new(nslabs);
     let mut chunk_stamp = fft_out.as_ref().map(|f| Stamp::new(f.tp.entry_shards(0)));
     let mut dep_chunks: Vec<u32> = Vec::new();
@@ -683,8 +681,8 @@ fn connect_spread_edges<const D: usize>(
             cs.next();
         }
         dep_chunks.clear();
-        let (lo, len) = task_box(pre, &geo.m, wc, t);
-        for_each_box_run(&geo.m, &gs, &lo, &len, |start, rlen| {
+        let (lo, len) = task_box(pre, m, wc, t);
+        for_each_box_run(m, &gs, &lo, &len, |start, rlen| {
             for s in start / slab..=(start + rlen - 1) / slab {
                 if slab_stamp.hit(s) {
                     builder.add_edge(zero_base + s as NodeId, conv_shared[t]);
@@ -943,7 +941,7 @@ pub(crate) fn build_adjoint<const D: usize>(
 
     connect_spread_edges(
         &mut builder,
-        geo,
+        &geo.m,
         pre,
         wc,
         zero_base,
@@ -969,24 +967,25 @@ pub(crate) fn build_adjoint<const D: usize>(
     FusedApply { dag: builder.build(), chunks: Vec::new(), slab, img_chunk }
 }
 
-/// Builds the fused **spread-only** graph: the adjoint's zero and scatter
-/// fragments with nothing downstream — consumed by
-/// [`NufftPlan::spread_only`](crate::plan::NufftPlan::spread_only). The
-/// Gray-code exclusion edges and `zero → conv` wiring are identical to the
-/// full adjoint's, so the scattered grid is bitwise-identical to the
-/// phased spread at any thread count.
+/// Builds the **spread** graph over grid extents `m`: the adjoint's zero
+/// and scatter fragments with nothing downstream — the graph every
+/// [`SpreadOp`](crate::stage::SpreadOp) apply runs (and hence
+/// `spread_only`, the phased adjoints and type-3 forwards). The Gray-code
+/// exclusion edges and `zero → conv` wiring are identical to the full
+/// adjoint's, so the scattered grid is bitwise-identical to the fused
+/// adjoint's at any thread count.
 pub(crate) fn build_spread<const D: usize>(
-    geo: &Geometry<D>,
+    m: &[usize; D],
     pre: &Preprocess<D>,
     wc: usize,
     threads: usize,
 ) -> FusedApply {
-    let grid_len = geo.grid_len();
+    let grid_len = m.iter().product();
     let slab = piece_len(grid_len, threads);
     let mut builder = DagBuilder::new();
     let zero_base = emit_zero_fragment(&mut builder, grid_len, slab, 1);
     let conv_shared = emit_spread_fragment(&mut builder, pre, 1);
-    connect_spread_edges(&mut builder, geo, pre, wc, zero_base, &conv_shared, slab, None);
+    connect_spread_edges(&mut builder, m, pre, wc, zero_base, &conv_shared, slab, None);
     apply_phase_priorities(&mut builder, true, D);
     FusedApply { dag: builder.build(), chunks: Vec::new(), slab, img_chunk: 0 }
 }

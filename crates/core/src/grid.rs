@@ -59,7 +59,7 @@ impl<const D: usize> Geometry<D> {
     }
 }
 
-fn strides<const D: usize>(ext: &[usize; D]) -> [usize; D] {
+pub(crate) fn strides<const D: usize>(ext: &[usize; D]) -> [usize; D] {
     let mut s = [1usize; D];
     for d in (0..D.saturating_sub(1)).rev() {
         s[d] = s[d + 1] * ext[d + 1];

@@ -35,21 +35,20 @@
 //! per-worker/per-task execution logs ([`NufftPlan::last_run_stats`]) for
 //! the load-balance experiments.
 
-use crate::conv::{
-    adjoint_scatter, adjoint_scatter_local, forward_gather, forward_gather2, reduce_local, Window,
-};
+use crate::conv::Window;
 use crate::fused::{self, FusedApply, TilePlan};
 use crate::grid::{embed_scaled_slab, extract_scaled_range, Geometry};
 use crate::kernel::{beatty_beta, InterpKernel, KernelChoice, DEFAULT_LUT_DENSITY};
 use crate::stage::{
-    check_kernel_fit, default_partitions, DeconvOp, FftOp, InterpOp, SendPtr, SpreadOp,
+    check_kernel_fit, default_partitions, gather_range, DeconvOp, FftOp, InterpOp, ScatterNodes,
+    SendPtr, SpreadOp,
 };
-use crate::tasks::{preprocess, Preprocess, PreprocessConfig, SortMode};
-use crate::windows::{WindowMode, WindowSource, WindowTable};
+use crate::tasks::{preprocess, PreprocessConfig, SortMode};
+use crate::windows::{WindowMode, WindowTable};
 use nufft_fft::{Direction, FftNd, FftStrategy};
 use nufft_math::Complex32;
 use nufft_parallel::exec::{
-    DagScratch, ExecBackend, Executor, JobPriority, RunStats, TaskPhase, TaskRecord,
+    DagRunStats, DagScratch, ExecBackend, Executor, JobPriority, RunStats, TaskPhase, TaskRecord,
 };
 use nufft_parallel::graph::{Dag, QueuePolicy, TaskGraph};
 use nufft_parallel::scratch::WorkerLocal;
@@ -111,9 +110,9 @@ pub struct NufftConfig {
     pub lut_density: usize,
     /// Samples per chunk in the forward gather's dynamic loop.
     pub grain: usize,
-    /// Scheduler backend. The default persistent pool keeps workers
-    /// resident across operator applies; `SpawnPerCall` is the historical
-    /// baseline retained for A/B measurement (`benches/pool.rs`).
+    /// Scheduler backend. The persistent pool is the only one, so plans
+    /// ignore this field; it stays because the repository benchmark reads
+    /// it to build its own executor (`Executor::with_backend`).
     pub backend: ExecBackend,
     /// How Part 1 windows are obtained at apply time: recomputed on the
     /// fly (historical default), precomputed into a plan-owned table, or
@@ -124,11 +123,12 @@ pub struct NufftConfig {
     /// historical barrier-per-phase pipeline. Bitwise-identical output
     /// either way.
     pub exec_mode: ExecMode,
-    /// Admission priority of this plan's dispatches when several tenants
-    /// share one persistent pool: the fair-share scheduler grants runnable
-    /// jobs worker steps proportional to their priority tickets, so a
-    /// `High` 2D forward keeps progressing under a `Low` 3D adjoint flood.
-    /// Ignored by [`ExecBackend::SpawnPerCall`] (one job at a time there).
+    /// Admission priority of this plan's DAG dispatches when several
+    /// tenants share one persistent pool: the fair-share scheduler grants
+    /// runnable jobs worker steps proportional to their priority tickets,
+    /// so a `High` 2D forward keeps progressing under a `Low` 3D adjoint
+    /// flood. `parallel_for` loops (the phased gather and FFT sweeps) always
+    /// run at [`JobPriority::Normal`].
     pub admission: JobPriority,
     /// Per-axis FFT execution strategy: `Auto` (default) runs the four-step
     /// (sub-FFT + cache-blocked transpose) decomposition on axes whose
@@ -292,27 +292,14 @@ pub struct NufftPlan<const D: usize> {
     /// Fused whole-operator graphs, cached per channel count: `(C, graph)`.
     fused_fwd: Vec<(usize, FusedApply)>,
     fused_adj: Vec<(usize, FusedApply)>,
-    /// Fused spread-only graph (zero slabs + scatter task graph, no FFT or
-    /// extract fragments), built on first [`NufftPlan::spread_only`].
-    fused_spread: Option<FusedApply>,
     /// Reusable fused-graph run state (shards, pending counters, node logs).
     dag_scratch: DagScratch,
-    /// Conv-phase stats synthesized from the last fused adjoint's node log,
-    /// shaped like the phased scheduler's (for `last_run_stats`).
-    fused_stats: RunStats,
+    /// Scatter-task stats of the last adjoint convolution, in (task, phase)
+    /// terms (for `last_run_stats`); `None` until an adjoint ran.
+    conv_stats: Option<RunStats>,
     preprocess_seconds: f64,
     last_forward: OpTimers,
     last_adjoint: OpTimers,
-    /// Which scratch holds the most recent adjoint-convolution stats.
-    stats_source: StatsSource,
-}
-
-/// Where `last_run_stats` should read from (nowhere until an adjoint ran).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum StatsSource {
-    None,
-    Phased,
-    Fused,
 }
 
 impl<const D: usize> NufftPlan<D> {
@@ -389,7 +376,7 @@ impl<const D: usize> NufftPlan<D> {
     /// # Panics
     /// See [`NufftPlan::new`].
     pub fn from_grid_coords(n: [usize; D], coords: Vec<[f32; D]>, cfg: NufftConfig) -> Self {
-        let exec = Executor::with_backend(cfg.threads.max(1), cfg.backend);
+        let exec = Executor::new(cfg.threads.max(1));
         Self::from_grid_coords_shared(n, coords, cfg, exec, None)
     }
 
@@ -479,13 +466,11 @@ impl<const D: usize> NufftPlan<D> {
             ptr_scratch2: Vec::new(),
             fused_fwd: Vec::new(),
             fused_adj: Vec::new(),
-            fused_spread: None,
             dag_scratch: DagScratch::new(),
-            fused_stats: RunStats::default(),
+            conv_stats: None,
             preprocess_seconds,
             last_forward: OpTimers::default(),
             last_adjoint: OpTimers::default(),
-            stats_source: StatsSource::None,
         }
     }
 
@@ -560,15 +545,11 @@ impl<const D: usize> NufftPlan<D> {
     }
 
     /// Per-worker/per-task execution log of the most recent adjoint
-    /// convolution. Under [`ExecMode::Fused`] this is synthesized from the
-    /// fused run's node log (conv/priv/reduce nodes only), so consumers see
-    /// the same shape either way.
+    /// convolution (an adjoint, batched adjoint or `spread_only`),
+    /// synthesized from the run's conv/priv/reduce node records in either
+    /// exec mode.
     pub fn last_run_stats(&self) -> Option<&RunStats> {
-        match self.stats_source {
-            StatsSource::None => None,
-            StatsSource::Phased => Some(self.spread.scratch.stats()),
-            StatsSource::Fused => Some(&self.fused_stats),
-        }
+        self.conv_stats.as_ref()
     }
 
     /// The active scheduling mode.
@@ -664,8 +645,9 @@ impl<const D: usize> NufftPlan<D> {
         self.cfg.admission
     }
 
-    /// Sets the admission priority of subsequent applies — the per-request
-    /// quality-of-service knob of the service layer.
+    /// Sets the admission priority of subsequent applies' DAG dispatches —
+    /// the per-request quality-of-service knob of the service layer.
+    /// `parallel_for` loops always run at [`JobPriority::Normal`].
     pub fn set_admission_priority(&mut self, priority: JobPriority) {
         self.cfg.admission = priority;
     }
@@ -711,20 +693,16 @@ impl<const D: usize> NufftPlan<D> {
                     self;
                 let fa = &fused_fwd[idx].1;
                 let fs_ptr = SendPtr(fft_op.fs.as_mut_ptr());
-                let source = spread.window_source();
                 Self::fused_forward_run(
                     exec,
                     cfg.policy,
                     cfg.admission,
                     dag_scratch,
                     fa,
-                    &fft_op.tile_plan,
-                    &fft_op.fft,
+                    fft_op,
                     geo,
                     &deconv.scale,
-                    &spread.pre,
-                    &source,
-                    &fft_op.scratch,
+                    spread,
                     &images,
                     &grid_ptrs,
                     &out_ptrs,
@@ -791,23 +769,17 @@ impl<const D: usize> NufftPlan<D> {
                     self;
                 let fa = &fused_adj[idx].1;
                 let fs_ptr = SendPtr(fft_op.fs.as_mut_ptr());
-                let source = spread.window_source();
                 Self::fused_adjoint_run(
                     exec,
                     cfg.policy,
                     cfg.admission,
                     dag_scratch,
                     fa,
-                    &fft_op.tile_plan,
-                    &fft_op.fft,
+                    fft_op,
                     geo,
                     &deconv.scale,
-                    &spread.pre,
-                    &source,
-                    &fft_op.scratch,
+                    spread,
                     &grid_ptrs,
-                    &spread.priv_ptrs,
-                    &spread.buf_of_task,
                     &samples_by_channel,
                     &out_ptrs,
                     fs_ptr,
@@ -816,10 +788,9 @@ impl<const D: usize> NufftPlan<D> {
             }
             Self::synth_conv_stats(
                 self.dag_scratch.stats(),
-                &mut self.fused_stats,
+                &mut self.conv_stats,
                 self.spread.pre.canonical_revisits,
             );
-            self.stats_source = StatsSource::Fused;
             self.last_adjoint = Self::fused_adjoint_timers(
                 self.dag_scratch.stats(),
                 t_start,
@@ -831,7 +802,6 @@ impl<const D: usize> NufftPlan<D> {
 
         // Phase 1: scatter convolution under the task graph.
         let t0 = Instant::now();
-        self.grid.fill(Complex32::ZERO);
         self.run_adjoint_convolution(samples);
         let conv_t = t0.elapsed().as_secs_f64();
 
@@ -858,65 +828,19 @@ impl<const D: usize> NufftPlan<D> {
 
     /// Standalone adjoint **spread**: scatters `samples` onto the
     /// oversampled grid `grid` (length [`NufftPlan::grid_len`]) — the
-    /// convolution stage alone, no FFT or deconvolution. `grid` is zeroed
-    /// first; the accumulation order is the canonical tile-major one, so
-    /// output is bitwise-deterministic across thread counts, sort modes
-    /// and exec modes (the fused spread graph carries the same Gray-code
-    /// exclusion edges as the full adjoint).
+    /// convolution stage alone, no FFT or deconvolution — through the
+    /// plan's [`SpreadOp`]. `grid` is overwritten; the accumulation order is
+    /// the canonical tile-major one, so output is bitwise-deterministic
+    /// across thread counts and sort modes, and equal to the scatter inside
+    /// a fused adjoint (both runs carry the same Gray-code exclusion edges).
     ///
     /// # Panics
     /// Panics if buffer lengths don't match the plan.
     pub fn spread_only(&mut self, samples: &[Complex32], grid: &mut [Complex32]) {
         assert_eq!(samples.len(), self.num_samples(), "sample buffer length mismatch");
         assert_eq!(grid.len(), self.geo.grid_len(), "grid buffer length mismatch");
-
-        if self.cfg.exec_mode == ExecMode::Fused {
-            self.ensure_fused_spread();
-            self.spread.refresh_priv_ptrs();
-            let grid_ptrs = [SendPtr(grid.as_mut_ptr())];
-            let out_ptrs: [SendPtr<Complex32>; 0] = [];
-            let samples_by_channel = [samples];
-            let twiddle_ns = AtomicU64::new(0);
-            {
-                let Self {
-                    cfg, geo, exec, spread, fft_op, deconv, dag_scratch, fused_spread, ..
-                } = self;
-                let fa = fused_spread.as_ref().expect("spread graph just built");
-                let fs_ptr = SendPtr(fft_op.fs.as_mut_ptr());
-                let source = spread.window_source();
-                Self::fused_adjoint_run(
-                    exec,
-                    cfg.policy,
-                    cfg.admission,
-                    dag_scratch,
-                    fa,
-                    &fft_op.tile_plan,
-                    &fft_op.fft,
-                    geo,
-                    &deconv.scale,
-                    &spread.pre,
-                    &source,
-                    &fft_op.scratch,
-                    &grid_ptrs,
-                    &spread.priv_ptrs,
-                    &spread.buf_of_task,
-                    &samples_by_channel,
-                    &out_ptrs,
-                    fs_ptr,
-                    &twiddle_ns,
-                );
-            }
-            Self::synth_conv_stats(
-                self.dag_scratch.stats(),
-                &mut self.fused_stats,
-                self.spread.pre.canonical_revisits,
-            );
-            self.stats_source = StatsSource::Fused;
-            return;
-        }
-
         self.spread.apply(&self.exec, self.cfg.admission, samples, grid);
-        self.stats_source = StatsSource::Phased;
+        self.record_spread_stats();
     }
 
     /// Standalone forward **interpolation**: gathers every sample's value
@@ -980,20 +904,16 @@ impl<const D: usize> NufftPlan<D> {
                 } = self;
                 let fa = &fused_fwd[idx].1;
                 let fs_ptr = SendPtr(fft_op.fs.as_mut_ptr());
-                let source = spread.window_source();
                 Self::fused_forward_run(
                     exec,
                     cfg.policy,
                     cfg.admission,
                     dag_scratch,
                     fa,
-                    &fft_op.tile_plan,
-                    &fft_op.fft,
+                    fft_op,
                     geo,
                     &deconv.scale,
-                    &spread.pre,
-                    &source,
-                    &fft_op.scratch,
+                    spread,
                     images,
                     ptr_scratch2,
                     ptr_scratch,
@@ -1062,23 +982,17 @@ impl<const D: usize> NufftPlan<D> {
                 } = self;
                 let fa = &fused_adj[idx].1;
                 let fs_ptr = SendPtr(fft_op.fs.as_mut_ptr());
-                let source = spread.window_source();
                 Self::fused_adjoint_run(
                     exec,
                     cfg.policy,
                     cfg.admission,
                     dag_scratch,
                     fa,
-                    &fft_op.tile_plan,
-                    &fft_op.fft,
+                    fft_op,
                     geo,
                     &deconv.scale,
-                    &spread.pre,
-                    &source,
-                    &fft_op.scratch,
+                    spread,
                     ptr_scratch,
-                    &spread.priv_ptrs,
-                    &spread.buf_of_task,
                     samples,
                     ptr_scratch2,
                     fs_ptr,
@@ -1087,17 +1001,13 @@ impl<const D: usize> NufftPlan<D> {
             }
             Self::synth_conv_stats(
                 self.dag_scratch.stats(),
-                &mut self.fused_stats,
+                &mut self.conv_stats,
                 self.spread.pre.canonical_revisits,
             );
-            self.stats_source = StatsSource::Fused;
             self.trace_fused(true);
             return;
         }
 
-        for g in &mut self.batch_grids[..channels] {
-            g.fill(Complex32::ZERO);
-        }
         self.ptr_scratch.clear();
         self.ptr_scratch
             .extend(self.batch_grids[..channels].iter_mut().map(|g| SendPtr(g.as_mut_ptr())));
@@ -1105,7 +1015,7 @@ impl<const D: usize> NufftPlan<D> {
             let Self { cfg, exec, spread, ptr_scratch, .. } = self;
             spread.accumulate_ptrs(exec, cfg.admission, ptr_scratch, samples);
         }
-        self.stats_source = StatsSource::Phased;
+        self.record_spread_stats();
         for c in 0..channels {
             self.fft_op.apply_split(&self.exec, &mut self.batch_grids[c], Direction::Backward);
             self.deconv.extract(&self.batch_grids[c], outs[c]);
@@ -1127,7 +1037,6 @@ impl<const D: usize> NufftPlan<D> {
     pub fn adjoint_convolution_only(&mut self, samples: &[Complex32]) -> f64 {
         assert_eq!(samples.len(), self.num_samples(), "sample buffer length mismatch");
         let t0 = Instant::now();
-        self.grid.fill(Complex32::ZERO);
         self.run_adjoint_convolution(samples);
         t0.elapsed().as_secs_f64()
     }
@@ -1160,13 +1069,22 @@ impl<const D: usize> NufftPlan<D> {
         t0.elapsed().as_secs_f64()
     }
 
-    /// Scatter convolution of all samples into the (pre-zeroed) grid under
-    /// the task graph, including the privatization protocol. Single-channel
-    /// entry point over the spread stage.
+    /// Scatter convolution of all samples into the grid workspace (which
+    /// the spread DAG zeroes first) under the task graph, including the
+    /// privatization protocol. Single-channel entry point over the spread
+    /// stage.
     fn run_adjoint_convolution(&mut self, samples: &[Complex32]) {
-        let grid_ptrs = [SendPtr(self.grid.as_mut_ptr())];
-        self.spread.accumulate_ptrs(&self.exec, self.cfg.admission, &grid_ptrs, &[samples]);
-        self.stats_source = StatsSource::Phased;
+        self.spread.apply(&self.exec, self.cfg.admission, samples, &mut self.grid);
+        self.record_spread_stats();
+    }
+
+    /// Refreshes `last_run_stats` from the spread stage's last run.
+    fn record_spread_stats(&mut self) {
+        Self::synth_conv_stats(
+            self.spread.scratch.stats(),
+            &mut self.conv_stats,
+            self.spread.pre.canonical_revisits,
+        );
     }
 
     /// Builds (or finds the cached) fused graph for one direction and
@@ -1206,16 +1124,6 @@ impl<const D: usize> NufftPlan<D> {
         let cache = if adjoint { &mut self.fused_adj } else { &mut self.fused_fwd };
         cache.push((channels, fa));
         cache.len() - 1
-    }
-
-    /// Builds (once) the fused spread-only graph: the adjoint graph's zero
-    /// and scatter fragments with no FFT or extract stages downstream.
-    fn ensure_fused_spread(&mut self) {
-        if self.fused_spread.is_none() {
-            let wc = self.cfg.w.ceil() as usize;
-            self.fused_spread =
-                Some(fused::build_spread(&self.geo, &self.spread.pre, wc, self.exec.threads()));
-        }
     }
 
     /// Executes one fused four-step shard ([`fused::KIND_FFT_SUB`] or
@@ -1296,23 +1204,21 @@ impl<const D: usize> NufftPlan<D> {
         priority: JobPriority,
         scratch: &mut DagScratch,
         fa: &FusedApply,
-        tp: &TilePlan,
-        fft: &FftNd,
+        fft_op: &FftOp,
         geo: &Geometry<D>,
         scale: &[f32],
-        pre: &Preprocess<D>,
-        source: &WindowSource<'_, D>,
-        fft_scratch: &WorkerLocal<Vec<Complex32>>,
+        spread: &SpreadOp<D>,
         images: &[&[Complex32]],
         grid_ptrs: &[SendPtr<Complex32>],
         out_ptrs: &[SendPtr<Complex32>],
         fs: SendPtr<Complex32>,
         twiddle_ns: &AtomicU64,
     ) {
-        let channels = grid_ptrs.len();
+        let (tp, fft, fft_scratch) = (&fft_op.tile_plan, &fft_op.fft, &fft_op.scratch);
         let grid_len = geo.grid_len();
         let m = &geo.m;
-        let order = &pre.order;
+        let order = &spread.pre.order;
+        let source = spread.window_source();
         let b = tp.b;
         exec.run_dag_reuse_prio(&fa.dag, policy, priority, scratch, |_node, tag, w| {
             match fused::kind_of(tag) {
@@ -1368,50 +1274,17 @@ impl<const D: usize> NufftPlan<D> {
                 }
                 fused::KIND_GATHER => {
                     let (lo, hi) = fa.chunks[fused::index_of(tag)];
-                    let mut stage = [Window::EMPTY; D];
-                    for i in lo as usize..hi as usize {
-                        let win = source.at(i, &mut stage);
-                        let slot = order[i] as usize;
-                        let mut c = 0;
-                        while c + 2 <= channels {
-                            // SAFETY: the chunk's task-box elements are
-                            // fully transformed (last-axis → gather edges)
-                            // and nothing writes the grids once their
-                            // readers start; concurrent gathers only read.
-                            let (ga, gb) = unsafe {
-                                (
-                                    core::slice::from_raw_parts(
-                                        grid_ptrs[c].get() as *const Complex32,
-                                        grid_len,
-                                    ),
-                                    core::slice::from_raw_parts(
-                                        grid_ptrs[c + 1].get() as *const Complex32,
-                                        grid_len,
-                                    ),
-                                )
-                            };
-                            let (va, vb) = forward_gather2(ga, gb, m, &win);
-                            // SAFETY: `order` is a permutation; each (c, i)
-                            // writes a distinct slot of channel c's output.
-                            unsafe {
-                                *out_ptrs[c].get().add(slot) = va;
-                                *out_ptrs[c + 1].get().add(slot) = vb;
-                            }
-                            c += 2;
-                        }
-                        if c < channels {
-                            // SAFETY: as above.
-                            let g = unsafe {
-                                core::slice::from_raw_parts(
-                                    grid_ptrs[c].get() as *const Complex32,
-                                    grid_len,
-                                )
-                            };
-                            let v = forward_gather(g, m, &win);
-                            // SAFETY: as above.
-                            unsafe { *out_ptrs[c].get().add(slot) = v };
-                        }
-                    }
+                    // SAFETY: the chunk's task-box elements are fully
+                    // transformed (last-axis → gather edges) and nothing
+                    // writes the grids once their readers start; concurrent
+                    // gathers only read.
+                    let grid = |c: usize| unsafe {
+                        core::slice::from_raw_parts(
+                            grid_ptrs[c].get() as *const Complex32,
+                            grid_len,
+                        )
+                    };
+                    gather_range(&source, order, m, grid, out_ptrs, lo as usize..hi as usize);
                 }
                 k => unreachable!("node kind {k} in a forward graph"),
             }
@@ -1421,9 +1294,9 @@ impl<const D: usize> NufftPlan<D> {
     /// Executes a fused adjoint graph: zero slabs, the scatter task graph
     /// (with the privatization protocol), per-channel inverse-FFT chunks
     /// and extract chunks as one DAG. Bitwise-identical to the phased
-    /// pipeline — the Gray-code exclusion edges fix the accumulation order.
-    /// A spread-only graph (no FFT/extract fragments) runs through the
-    /// same dispatcher with an empty `out_ptrs`.
+    /// pipeline — the Gray-code exclusion edges fix the accumulation order,
+    /// and the scatter nodes run the spread stage's own bodies
+    /// ([`ScatterNodes`]).
     #[allow(clippy::too_many_arguments)]
     fn fused_adjoint_run(
         exec: &Executor,
@@ -1431,96 +1304,36 @@ impl<const D: usize> NufftPlan<D> {
         priority: JobPriority,
         scratch: &mut DagScratch,
         fa: &FusedApply,
-        tp: &TilePlan,
-        fft: &FftNd,
+        fft_op: &FftOp,
         geo: &Geometry<D>,
         scale: &[f32],
-        pre: &Preprocess<D>,
-        source: &WindowSource<'_, D>,
-        fft_scratch: &WorkerLocal<Vec<Complex32>>,
+        spread: &SpreadOp<D>,
         grid_ptrs: &[SendPtr<Complex32>],
-        priv_ptrs: &[(SendPtr<Complex32>, usize)],
-        buf_of_task: &[u32],
         samples: &[&[Complex32]],
         out_ptrs: &[SendPtr<Complex32>],
         fs: SendPtr<Complex32>,
         twiddle_ns: &AtomicU64,
     ) {
-        let channels = grid_ptrs.len();
+        let (tp, fft, fft_scratch) = (&fft_op.tile_plan, &fft_op.fft, &fft_op.scratch);
         let grid_len = geo.grid_len();
         let image_len = geo.image_len();
-        let m = &geo.m;
-        let order = &pre.order;
         let b = tp.b;
+        let source = spread.window_source();
+        let scatter = ScatterNodes {
+            pre: &spread.pre,
+            source: &source,
+            m: &geo.m,
+            grid_ptrs,
+            grid_len,
+            slab: fa.slab,
+            priv_ptrs: &spread.priv_ptrs,
+            buf_of_task: &spread.buf_of_task,
+            samples,
+        };
         exec.run_dag_reuse_prio(&fa.dag, policy, priority, scratch, |_node, tag, w| {
             match fused::kind_of(tag) {
-                fused::KIND_ZERO => {
-                    let lo = fused::index_of(tag) * fa.slab;
-                    let len = (grid_len - lo).min(fa.slab);
-                    for gp in grid_ptrs {
-                        // SAFETY: zero slabs partition the grids and every
-                        // other toucher of these elements is ordered after
-                        // this node (directly or via its covering task).
-                        unsafe { core::slice::from_raw_parts_mut(gp.get().add(lo), len) }
-                            .fill(Complex32::ZERO);
-                    }
-                }
-                fused::KIND_CONV => {
-                    let t = fused::index_of(tag);
-                    let mut stage = [Window::EMPTY; D];
-                    for vi in pre.ranges[t].clone() {
-                        let i = pre.visit(vi);
-                        let win = source.at(i, &mut stage);
-                        let slot = order[i] as usize;
-                        for (c, gp) in grid_ptrs.iter().enumerate() {
-                            // SAFETY: the Gray-code edges serialize adjacent
-                            // tasks exactly as the phased scheduler does;
-                            // this task only touches its own halo box.
-                            let grid =
-                                unsafe { core::slice::from_raw_parts_mut(gp.get(), grid_len) };
-                            adjoint_scatter(grid, m, &win, samples[c][slot]);
-                        }
-                    }
-                }
-                fused::KIND_PRIV => {
-                    let t = fused::index_of(tag);
-                    let region = pre.regions[t].expect("privatized task has region");
-                    let (base, clen) = priv_ptrs[buf_of_task[t] as usize];
-                    // SAFETY: each privatized task owns its buffer
-                    // exclusively; its reduce node is ordered after this
-                    // one by an edge.
-                    let buf_all =
-                        unsafe { core::slice::from_raw_parts_mut(base.get(), channels * clen) };
-                    buf_all.fill(Complex32::ZERO);
-                    let mut stage = [Window::EMPTY; D];
-                    for vi in pre.ranges[t].clone() {
-                        let i = pre.visit(vi);
-                        let win = source.at(i, &mut stage);
-                        let slot = order[i] as usize;
-                        for c in 0..channels {
-                            adjoint_scatter_local(
-                                &mut buf_all[c * clen..(c + 1) * clen],
-                                &region.origin,
-                                &region.size,
-                                &win,
-                                samples[c][slot],
-                            );
-                        }
-                    }
-                }
-                fused::KIND_REDUCE => {
-                    let t = fused::index_of(tag);
-                    let region = pre.regions[t].expect("privatized task has region");
-                    let (base, clen) = priv_ptrs[buf_of_task[t] as usize];
-                    for (c, gp) in grid_ptrs.iter().enumerate() {
-                        // SAFETY: reductions carry the task's exclusion
-                        // edges; the private buffer was filled by the
-                        // convolve node this one depends on.
-                        let grid = unsafe { core::slice::from_raw_parts_mut(gp.get(), grid_len) };
-                        let buf =
-                            unsafe { core::slice::from_raw_parts(base.get().add(c * clen), clen) };
-                        reduce_local(grid, m, buf, &region.origin, &region.size);
-                    }
+                fused::KIND_ZERO | fused::KIND_CONV | fused::KIND_PRIV | fused::KIND_REDUCE => {
+                    scatter.run(tag)
                 }
                 fused::KIND_FFT => {
                     let axis = fused::axis_of(tag);
@@ -1586,11 +1399,7 @@ impl<const D: usize> NufftPlan<D> {
     /// Forward phase timers from a fused node log: each "phase" is the
     /// wall-clock span its kind was in flight (spans overlap — that overlap
     /// is exactly what fusion buys).
-    fn fused_forward_timers(
-        stats: &nufft_parallel::exec::DagRunStats,
-        t_start: Instant,
-        twiddle: f64,
-    ) -> OpTimers {
+    fn fused_forward_timers(stats: &DagRunStats, t_start: Instant, twiddle: f64) -> OpTimers {
         OpTimers {
             scale: fused::kind_span(stats, |k| k == fused::KIND_SCALE),
             fft: fused::kind_span(stats, |k| {
@@ -1606,11 +1415,7 @@ impl<const D: usize> NufftPlan<D> {
 
     /// Adjoint phase timers from a fused node log (conv includes zeroing,
     /// as in the phased pipeline).
-    fn fused_adjoint_timers(
-        stats: &nufft_parallel::exec::DagRunStats,
-        t_start: Instant,
-        twiddle: f64,
-    ) -> OpTimers {
+    fn fused_adjoint_timers(stats: &DagRunStats, t_start: Instant, twiddle: f64) -> OpTimers {
         OpTimers {
             scale: fused::kind_span(stats, |k| k == fused::KIND_EXTRACT),
             fft: fused::kind_span(stats, |k| {
@@ -1629,15 +1434,12 @@ impl<const D: usize> NufftPlan<D> {
         }
     }
 
-    /// Rebuilds `fused_stats` (shaped like the phased scheduler's
-    /// [`RunStats`]) from the conv/priv/reduce records of a fused run, so
-    /// `last_run_stats` serves the load-balance experiments in either mode.
-    /// Reuses the destination's capacity — allocation-free once warm.
-    fn synth_conv_stats(
-        src: &nufft_parallel::exec::DagRunStats,
-        dst: &mut RunStats,
-        tile_revisits: u64,
-    ) {
+    /// The one DAG → [`RunStats`] converter: rebuilds `dst` from the
+    /// conv/priv/reduce records of a spread or fused-adjoint run, so
+    /// `last_run_stats` serves the load-balance experiments in either exec
+    /// mode. Reuses the destination's capacity — allocation-free once warm.
+    fn synth_conv_stats(src: &DagRunStats, dst: &mut Option<RunStats>, tile_revisits: u64) {
+        let dst = dst.get_or_insert_with(RunStats::default);
         dst.tile_revisits = tile_revisits;
         dst.worker_busy.clear();
         dst.worker_busy.resize(src.worker_busy.len(), 0.0);

@@ -29,7 +29,8 @@
 //! ## Buffer contracts
 //!
 //! * `SpreadOp::apply(samples, grid)` — `grid.len() == grid_len()`; the
-//!   grid is zeroed then accumulated into (deterministic order).
+//!   spread DAG's zero slabs clear the grid, then its scatter nodes
+//!   accumulate into it (deterministic order).
 //! * `InterpOp::apply(grid, out)` — pure reads of `grid`, one write per
 //!   sample at its original (caller-order) position.
 //! * `FftOp::apply(data, dir)` — in-place, unnormalized in both
@@ -39,14 +40,14 @@
 //!   the kernel's inverse Fourier roll-off.
 //!
 //! Steady-state applies of every operator are allocation-free: all scratch
-//! (task-graph run state, per-worker FFT tiles, the four-step `fs` buffer,
-//! privatized halo buffers) is operator-owned and reused.
+//! (the spread DAG and its run state, per-worker FFT tiles, the four-step
+//! `fs` buffer, privatized halo buffers) is operator-owned and reused.
 
 use crate::conv::{
     adjoint_scatter, adjoint_scatter_local, forward_gather, forward_gather2, reduce_local, Window,
     MAX_TAPS,
 };
-use crate::fused::TilePlan;
+use crate::fused::{self, FusedApply, TilePlan};
 use crate::grid::{embed_scaled, extract_scaled, Geometry};
 use crate::kernel::InterpKernel;
 use crate::plan::NufftConfig;
@@ -55,7 +56,7 @@ use crate::tasks::{preprocess, Preprocess, PreprocessConfig};
 use crate::windows::{WindowMode, WindowSource, WindowTable};
 use nufft_fft::{Direction, FftNd, FftStrategy};
 use nufft_math::Complex32;
-use nufft_parallel::exec::{Executor, GraphScratch, JobPriority, TaskPhase};
+use nufft_parallel::exec::{DagScratch, Executor, JobPriority};
 use nufft_parallel::graph::QueuePolicy;
 use nufft_parallel::scratch::WorkerLocal;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,7 +70,7 @@ pub(crate) const LANE_ALIGN: usize = 64 / core::mem::size_of::<Complex32>();
 /// Raw-pointer wrapper for disjoint-region writes from worker threads.
 ///
 /// Soundness is established by the callers: grid writers are serialized by
-/// the task graph (adjacent tasks never run concurrently — see the
+/// the Gray-code edges (adjacent tasks never run concurrently — see the
 /// exclusion tests in `nufft-parallel`), forward gathers write distinct
 /// output slots, and FFT lines are pairwise disjoint.
 #[derive(Clone, Copy)]
@@ -127,12 +128,13 @@ pub(crate) fn check_kernel_fit<const D: usize>(m: &[usize; D], w: f64) {
 
 /// The adjoint scatter-convolution stage: accumulates weighted kernel
 /// windows of every non-uniform sample onto an oversampled grid, under the
-/// paper's task-graph scheduler with selective privatization.
+/// paper's task graph with selective privatization, run as one DAG.
 ///
 /// Owns everything the scatter reuses across applies: the preprocessing
 /// (partitions, task graph, canonical sample order), the kernel + LUT, the
-/// optional precomputed window table, the privatized halo buffers and the
-/// task-graph run scratch — so steady-state applies allocate nothing.
+/// optional precomputed window table, the privatized halo buffers, the
+/// spread DAG (zero slabs plus the lowered task graph, built on the first
+/// apply) and its run scratch — so steady-state applies allocate nothing.
 pub struct SpreadOp<const D: usize> {
     /// Oversampled grid extents.
     pub(crate) m: [usize; D],
@@ -159,8 +161,10 @@ pub struct SpreadOp<const D: usize> {
     /// refreshed (without allocating) at the top of every apply.
     pub(crate) priv_ptrs: Vec<(SendPtr<Complex32>, usize)>,
     pub(crate) buf_of_task: Vec<u32>,
-    /// Reusable task-graph run state (shards, pending counters, stat logs).
-    pub(crate) scratch: GraphScratch,
+    /// The spread DAG (`fused::build_spread`), built on the first apply.
+    dag: Option<FusedApply>,
+    /// Reusable spread-DAG run state (shards, pending counters, node logs).
+    pub(crate) scratch: DagScratch,
 }
 
 impl<const D: usize> SpreadOp<D> {
@@ -255,7 +259,8 @@ impl<const D: usize> SpreadOp<D> {
             priv_channels: 1,
             priv_ptrs: Vec::new(),
             buf_of_task,
-            scratch: GraphScratch::new(),
+            dag: None,
+            scratch: DagScratch::new(),
         }
     }
 
@@ -274,7 +279,7 @@ impl<const D: usize> SpreadOp<D> {
         self.grid_len
     }
 
-    /// Scatters all samples onto `grid` (zeroed first): `grid` gains
+    /// Scatters all samples onto `grid`, overwriting it: `grid` becomes
     /// `Σ_i samples[i] · window_i`. Output is bitwise-deterministic across
     /// thread counts and sort modes (canonical tile-major accumulation
     /// order).
@@ -290,16 +295,15 @@ impl<const D: usize> SpreadOp<D> {
     ) {
         assert_eq!(samples.len(), self.num_samples(), "sample buffer length mismatch");
         assert_eq!(grid.len(), self.grid_len, "grid buffer length mismatch");
-        grid.fill(Complex32::ZERO);
         let grid_ptrs = [SendPtr(grid.as_mut_ptr())];
         self.accumulate_ptrs(exec, priority, &grid_ptrs, &[samples]);
     }
 
-    /// The multi-channel scatter core: accumulates every channel's samples
-    /// into its (caller-zeroed) grid under a single task-graph traversal,
-    /// with the selective-privatization protocol applied per channel.
-    /// Stages the privatized-buffer pointers itself — allocation-free once
-    /// warm.
+    /// The multi-channel scatter core: zeroes every channel's grid and
+    /// accumulates its samples into it in one run of the spread DAG, with
+    /// the selective-privatization protocol applied per channel. Builds
+    /// the DAG on first use and stages the privatized-buffer pointers
+    /// itself — allocation-free once warm.
     pub(crate) fn accumulate_ptrs(
         &mut self,
         exec: &Executor,
@@ -307,7 +311,12 @@ impl<const D: usize> SpreadOp<D> {
         grid_ptrs: &[SendPtr<Complex32>],
         samples: &[&[Complex32]],
     ) {
+        assert_eq!(grid_ptrs.len(), samples.len(), "channel count mismatch");
         self.refresh_priv_ptrs();
+        if self.dag.is_none() {
+            let wc = self.wrad.ceil() as usize;
+            self.dag = Some(fused::build_spread(&self.m, &self.pre, wc, exec.threads()));
+        }
         let Self {
             m,
             grid_len,
@@ -318,6 +327,7 @@ impl<const D: usize> SpreadOp<D> {
             windows,
             priv_ptrs,
             buf_of_task,
+            dag,
             scratch,
             ..
         } = self;
@@ -325,20 +335,19 @@ impl<const D: usize> SpreadOp<D> {
             Some(table) => WindowSource::Table(table),
             None => WindowSource::Fly { coords: &pre.coords, wrad: *wrad, kernel },
         };
-        scatter_driver(
-            exec,
-            *policy,
-            priority,
-            scratch,
+        let fa = dag.as_ref().expect("spread DAG just built");
+        let nodes = ScatterNodes {
             pre,
-            &source,
+            source: &source,
             m,
             grid_ptrs,
-            *grid_len,
+            grid_len: *grid_len,
+            slab: fa.slab,
             priv_ptrs,
             buf_of_task,
             samples,
-        );
+        };
+        exec.run_dag_reuse_prio(&fa.dag, *policy, priority, scratch, |_v, tag, _w| nodes.run(tag));
     }
 
     /// The operator's current window source (table if held, else on the
@@ -708,14 +717,11 @@ impl<const D: usize> DeconvOp<D> {
 // Shared drivers
 // ---------------------------------------------------------------------------
 
-/// The unified gather (forward-convolution) driver: one Part 1 window
-/// fetch per sample, then a Part 2 gather per channel — channel pairs
-/// go through [`forward_gather2`], which shares one weight expansion
-/// across both grids while staying bitwise-equal to two single gathers.
+/// The gather (forward-convolution) driver: one dynamic loop over the
+/// samples in storage order, each chunk running [`gather_range`].
 ///
 /// `grids[c]` is channel `c`'s oversampled spectrum; `out_ptrs[c]` its
 /// output base pointer (written at permuted positions `order[i]`).
-#[allow(clippy::too_many_arguments)]
 fn gather_driver<const D: usize, G: AsRef<[Complex32]> + Sync>(
     exec: &Executor,
     grain: usize,
@@ -726,93 +732,126 @@ fn gather_driver<const D: usize, G: AsRef<[Complex32]> + Sync>(
     out_ptrs: &[SendPtr<Complex32>],
 ) {
     assert_eq!(grids.len(), out_ptrs.len(), "channel count mismatch");
-    let channels = grids.len();
-    let order = &pre.order;
     // Storage order IS the traversal here: under `SortMode::TileMajor`
     // each chunk streams grid tiles; forward gathers are pure reads, so
     // the result is permutation-invariant (each write lands at the
     // original position `order[i]`) and no de-permutation pass is
     // needed — outputs are bitwise-identical across sort modes.
     exec.parallel_for_aligned(pre.coords.len(), grain, LANE_ALIGN, |range, _w| {
-        let mut stage = [Window::EMPTY; D];
-        for i in range {
-            let win = source.at(i, &mut stage);
-            let slot = order[i] as usize;
-            let mut c = 0;
-            while c + 2 <= channels {
-                let (va, vb) = forward_gather2(grids[c].as_ref(), grids[c + 1].as_ref(), m, &win);
-                // SAFETY: `order` is a permutation; each (c, i) writes a
-                // distinct slot of channel c's output.
-                unsafe {
-                    *out_ptrs[c].get().add(slot) = va;
-                    *out_ptrs[c + 1].get().add(slot) = vb;
-                }
-                c += 2;
-            }
-            if c < channels {
-                let v = forward_gather(grids[c].as_ref(), m, &win);
-                // SAFETY: as above.
-                unsafe { *out_ptrs[c].get().add(slot) = v };
-            }
-        }
+        gather_range(source, &pre.order, m, |c| grids[c].as_ref(), out_ptrs, range);
     });
 }
 
-/// The unified scatter (adjoint-convolution) driver: a single
-/// task-graph traversal scatters every channel, with the selective
-/// privatization protocol applied per channel — a privatized task
-/// convolves into `channels` back-to-back copies of its halo region and
-/// its decoupled reduction folds each copy into the matching grid.
+/// The one gather body, run by [`gather_driver`] chunks and by the fused
+/// forward DAG's gather nodes: one Part 1 window fetch per sample of
+/// `range` (storage order), then a Part 2 gather per channel from
+/// `grid(c)` into `out_ptrs[c]` at the sample's original position. Channel
+/// pairs go through [`forward_gather2`], which shares one weight expansion
+/// across both grids while staying bitwise-equal to two single gathers.
+#[inline(always)]
+pub(crate) fn gather_range<'g, const D: usize>(
+    source: &WindowSource<'_, D>,
+    order: &[u32],
+    m: &[usize; D],
+    grid: impl Fn(usize) -> &'g [Complex32],
+    out_ptrs: &[SendPtr<Complex32>],
+    range: core::ops::Range<usize>,
+) {
+    let channels = out_ptrs.len();
+    let mut stage = [Window::EMPTY; D];
+    for i in range {
+        let win = source.at(i, &mut stage);
+        let slot = order[i] as usize;
+        let mut c = 0;
+        while c + 2 <= channels {
+            let (va, vb) = forward_gather2(grid(c), grid(c + 1), m, &win);
+            // SAFETY: `order` is a permutation; each (c, i) writes a
+            // distinct slot of channel c's output.
+            unsafe {
+                *out_ptrs[c].get().add(slot) = va;
+                *out_ptrs[c + 1].get().add(slot) = vb;
+            }
+            c += 2;
+        }
+        if c < channels {
+            let v = forward_gather(grid(c), m, &win);
+            // SAFETY: as above.
+            unsafe { *out_ptrs[c].get().add(slot) = v };
+        }
+    }
+}
+
+/// The one body of each scatter-stage DAG node kind — zero slab, plain
+/// convolution, privatized convolution, reduction — run by the spread DAG
+/// ([`SpreadOp::accumulate_ptrs`]) and by the fused adjoint DAGs.
 ///
-/// At `channels == 1` this is exactly the historical single-operator
-/// path; the batched operators are the same code with a longer channel
-/// loop, so batch output is bitwise-identical to repeated single
-/// applies.
+/// One traversal scatters every channel (`grid_ptrs.len()` of them), with
+/// the selective privatization protocol applied per channel: a privatized
+/// task convolves into `channels` back-to-back copies of its halo region
+/// and its reduction folds each copy into the matching grid. The batched
+/// operators are the same code with a longer channel loop, so batch output
+/// is bitwise-identical to repeated single applies.
 ///
 /// Samples are visited in the **canonical tile-major order** via
 /// [`Preprocess::visit`] regardless of sort mode, pinning the
-/// floating-point accumulation order — sorted and unsorted plans
-/// produce bitwise-identical grids (DESIGN.md §14).
-#[allow(clippy::too_many_arguments)]
-fn scatter_driver<const D: usize>(
-    exec: &Executor,
-    policy: QueuePolicy,
-    priority: JobPriority,
-    scratch: &mut GraphScratch,
-    pre: &Preprocess<D>,
-    source: &WindowSource<'_, D>,
-    m: &[usize; D],
-    grid_ptrs: &[SendPtr<Complex32>],
-    grid_len: usize,
-    priv_ptrs: &[(SendPtr<Complex32>, usize)],
-    buf_of_task: &[u32],
-    samples: &[&[Complex32]],
-) {
-    assert_eq!(grid_ptrs.len(), samples.len(), "channel count mismatch");
-    let channels = grid_ptrs.len();
-    let order = &pre.order;
-    exec.run_graph_reuse_prio(&pre.graph, policy, priority, scratch, |t, phase, _w| {
-        match phase {
-            TaskPhase::Normal => {
+/// floating-point accumulation order — sorted and unsorted plans produce
+/// bitwise-identical grids (DESIGN.md §14).
+pub(crate) struct ScatterNodes<'a, const D: usize> {
+    pub(crate) pre: &'a Preprocess<D>,
+    pub(crate) source: &'a WindowSource<'a, D>,
+    pub(crate) m: &'a [usize; D],
+    pub(crate) grid_ptrs: &'a [SendPtr<Complex32>],
+    pub(crate) grid_len: usize,
+    /// Grid elements per zero slab.
+    pub(crate) slab: usize,
+    /// `(base, per_channel_len)` of each privatized task's halo buffer.
+    pub(crate) priv_ptrs: &'a [(SendPtr<Complex32>, usize)],
+    pub(crate) buf_of_task: &'a [u32],
+    pub(crate) samples: &'a [&'a [Complex32]],
+}
+
+impl<const D: usize> ScatterNodes<'_, D> {
+    /// Runs the scatter node tagged `tag` ([`fused::KIND_ZERO`],
+    /// [`fused::KIND_CONV`], [`fused::KIND_PRIV`] or
+    /// [`fused::KIND_REDUCE`]).
+    #[inline(always)]
+    pub(crate) fn run(&self, tag: u64) {
+        let Self { pre, source, m, grid_ptrs, grid_len, slab, priv_ptrs, buf_of_task, samples } =
+            *self;
+        let t = fused::index_of(tag);
+        match fused::kind_of(tag) {
+            fused::KIND_ZERO => {
+                let lo = t * slab;
+                let len = (grid_len - lo).min(slab);
+                for gp in grid_ptrs {
+                    // SAFETY: zero slabs partition the grids and every other
+                    // toucher of these elements is ordered after this node
+                    // (directly or via its covering task).
+                    unsafe { core::slice::from_raw_parts_mut(gp.get().add(lo), len) }
+                        .fill(Complex32::ZERO);
+                }
+            }
+            fused::KIND_CONV => {
                 let mut stage = [Window::EMPTY; D];
                 for vi in pre.ranges[t].clone() {
                     let i = pre.visit(vi);
                     let win = source.at(i, &mut stage);
-                    let slot = order[i] as usize;
+                    let slot = pre.order[i] as usize;
                     for (c, gp) in grid_ptrs.iter().enumerate() {
-                        // SAFETY: the task graph serializes adjacent
-                        // tasks; this task only touches its own halo box
-                        // of each channel's grid.
+                        // SAFETY: the Gray-code edges serialize adjacent
+                        // tasks; this task only touches its own halo box of
+                        // each channel's grid.
                         let grid = unsafe { core::slice::from_raw_parts_mut(gp.get(), grid_len) };
                         adjoint_scatter(grid, m, &win, samples[c][slot]);
                     }
                 }
             }
-            TaskPhase::PrivateConvolve => {
+            fused::KIND_PRIV => {
+                let channels = grid_ptrs.len();
                 let region = pre.regions[t].expect("privatized task has region");
                 let (base, clen) = priv_ptrs[buf_of_task[t] as usize];
-                // SAFETY: each privatized task owns its buffer
-                // exclusively; phases of one task never overlap. The
+                // SAFETY: each privatized task owns its buffer exclusively;
+                // its reduce node is ordered after this one by an edge. The
                 // buffer holds ≥ `channels` region copies
                 // (`ensure_priv_channels`).
                 let buf_all =
@@ -822,7 +861,7 @@ fn scatter_driver<const D: usize>(
                 for vi in pre.ranges[t].clone() {
                     let i = pre.visit(vi);
                     let win = source.at(i, &mut stage);
-                    let slot = order[i] as usize;
+                    let slot = pre.order[i] as usize;
                     for c in 0..channels {
                         adjoint_scatter_local(
                             &mut buf_all[c * clen..(c + 1) * clen],
@@ -834,23 +873,20 @@ fn scatter_driver<const D: usize>(
                     }
                 }
             }
-            TaskPhase::Reduce => {
+            fused::KIND_REDUCE => {
                 let region = pre.regions[t].expect("privatized task has region");
                 let (base, clen) = priv_ptrs[buf_of_task[t] as usize];
                 for (c, gp) in grid_ptrs.iter().enumerate() {
-                    // SAFETY: reductions run under the same exclusion
-                    // edges as normal tasks; the buffer was filled by
-                    // this task's convolve phase which has completed.
+                    // SAFETY: reductions carry the task's exclusion edges;
+                    // the private buffer was filled by the convolve node
+                    // this one depends on.
                     let grid = unsafe { core::slice::from_raw_parts_mut(gp.get(), grid_len) };
                     let buf =
                         unsafe { core::slice::from_raw_parts(base.get().add(c * clen), clen) };
                     reduce_local(grid, m, buf, &region.origin, &region.size);
                 }
             }
+            k => unreachable!("node kind {k} is not a scatter node"),
         }
-    });
-    // The scatter traversal is fixed at plan time, so its tile-revisit
-    // count is a plan constant — stamp it into the freshly harvested
-    // stats so locality is observable next to the timing log.
-    scratch.stats_mut().tile_revisits = pre.canonical_revisits;
+    }
 }

@@ -112,7 +112,7 @@ impl<const D: usize> Type3Plan<D> {
     /// scaled targets would not fit the inner plan's band), or any
     /// [`NufftPlan::new`] precondition fails for the derived fine grid.
     pub fn new(sources: &[[f64; D]], targets: &[[f64; D]], cfg: NufftConfig) -> Self {
-        let exec = Executor::with_backend(cfg.threads.max(1), cfg.backend);
+        let exec = Executor::new(cfg.threads.max(1));
         Self::new_shared(sources, targets, cfg, exec)
     }
 
@@ -227,8 +227,10 @@ impl<const D: usize> Type3Plan<D> {
         self.inner.set_exec_mode(mode);
     }
 
-    /// Sets the fair-share admission priority for every stage's dispatches
-    /// on a shared pool.
+    /// Sets the fair-share admission priority of the transform's DAG
+    /// dispatches on a shared pool (the outer spread and the inner plan's
+    /// fused graphs). `parallel_for` dispatches — the outer interp and the
+    /// phased inner stages' loops — always run at `JobPriority::Normal`.
     pub fn set_admission_priority(&mut self, priority: JobPriority) {
         self.cfg.admission = priority;
         self.inner.set_admission_priority(priority);

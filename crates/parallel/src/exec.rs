@@ -1,29 +1,31 @@
 //! The task executor (§III-B2–§III-B4) on a **persistent worker pool**.
 //!
-//! [`Executor::run_graph`] runs a [`TaskGraph`] on `T` workers with no
-//! global barrier anywhere:
+//! The runtime has two job kinds on one backend:
 //!
-//! * tasks become ready the moment their (≤ 2) predecessor edges are
-//!   satisfied — tracked by per-task atomic pending counters, so no lock
-//!   is taken to retire an edge;
-//! * *selectively privatized* tasks are split in two: the convolution phase
-//!   is ready immediately (it writes a private buffer), and the reduction
-//!   phase inherits the task's dependency edges, decoupling expensive
-//!   convolution from the critical path (§III-B4);
-//! * the ready pool is **sharded per worker** with work stealing. Each
-//!   shard individually honors the run's [`QueuePolicy`] (§III-B3): under
-//!   [`QueuePolicy::Priority`] both the owner and a thief pop the
-//!   *largest* entry of the shard they touch, so largest-first is
-//!   preserved **per steal victim** (not globally — see DESIGN.md §10 for
-//!   why that is the right trade and how `nufft-sim` replays it).
-//!
-//! [`Executor::parallel_for`] is the dynamic loop partitioner used for the
-//! forward (gather) convolution and the FFT line sweeps: every worker is
-//! seeded with one contiguous chunk of the index range and pops
-//! `grain`-sized pieces off its front; an idle worker steals the **upper
-//! half** of a victim's remaining range. The fast path is a single CAS on
-//! the owner's own (cache-line-padded) range word — no locks, no shared
-//! counter.
+//! * [`Executor::run_dag`] runs a heterogeneous [`Dag`] on `T` workers with
+//!   no global barrier anywhere. The paper's task-dependency graph
+//!   ([`crate::graph::TaskGraph`]) runs through it after one lowering,
+//!   [`crate::graph::DagBuilder::add_task_graph`]:
+//!   * a node becomes ready the moment its predecessor edges are
+//!     satisfied — tracked by per-node atomic pending counters, so no lock
+//!     is taken to retire an edge;
+//!   * a *selectively privatized* task is lowered to two nodes: the
+//!     convolution is ready immediately (it writes a private buffer), and
+//!     the reduction inherits the task's Gray-code edges, decoupling
+//!     expensive convolution from the critical path (§III-B4);
+//!   * the ready pool is **sharded per worker** with work stealing. Each
+//!     shard individually honors the run's [`QueuePolicy`] (§III-B3): under
+//!     [`QueuePolicy::Priority`] both the owner and a thief pop the
+//!     *largest* entry of the shard they touch, so largest-first is
+//!     preserved **per steal victim** (not globally — see DESIGN.md §10 for
+//!     why that is the right trade and how `nufft-sim` replays it).
+//! * [`Executor::parallel_for`] is the dynamic loop partitioner used for
+//!   the forward (gather) convolution and the FFT line sweeps: every worker
+//!   is seeded with one contiguous chunk of the index range and pops
+//!   `grain`-sized pieces off its front; an idle worker steals the **upper
+//!   half** of a victim's remaining range. The fast path is a single CAS on
+//!   the owner's own (cache-line-padded) range word — no locks, no shared
+//!   counter.
 //!
 //! ## Pool lifecycle and multi-tenant dispatch
 //!
@@ -36,8 +38,8 @@
 //! 1-thread executor never synchronizes at all.
 //!
 //! The pool accepts **concurrently submitted jobs**: every
-//! `run_graph`/`run_dag`/`parallel_for` call occupies one slot of a fixed
-//! job table, and background workers interleave units from every active
+//! `run_dag`/`parallel_for` call occupies one slot of a fixed job table,
+//! and background workers interleave units from every active
 //! job under a stride scheduler weighted by [`JobPriority`] — each job
 //! holds tickets, accumulates virtual *pass* inversely proportional to
 //! them as it is served, and workers always serve the active job with the
@@ -49,12 +51,8 @@
 //! *per-job* quiescence (its table slot drains its worker pins before the
 //! submitter returns), not at pool quiescence. Dropping the last
 //! [`Executor`] clone shuts the pool down and joins its threads.
-//!
-//! The spawn-per-call scheduler this pool replaced is retained as
-//! [`ExecBackend::SpawnPerCall`] so the `pool` benchmark can measure the
-//! improvement honestly (see `crates/bench/benches/pool.rs`).
 
-use crate::graph::{Dag, NodeId, QueuePolicy, TaskGraph, TaskId};
+use crate::graph::{Dag, NodeId, QueuePolicy, TaskId};
 use crate::queue::{Entry, ReadyQueue};
 use crate::scratch::CachePadded;
 use std::any::Any;
@@ -72,7 +70,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Which phase of a task the executor is running.
+/// Which phase of a [`crate::graph::TaskGraph`] task a node runs (see
+/// [`crate::graph::DagBuilder::add_task_graph`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TaskPhase {
     /// The whole task, for non-privatized tasks (convolve into the shared
@@ -84,25 +83,6 @@ pub enum TaskPhase {
     /// Reduction of a privatized task's buffer into the shared grid
     /// (inherits the task's TDG dependencies).
     Reduce,
-}
-
-impl TaskPhase {
-    fn encode(self) -> u64 {
-        match self {
-            TaskPhase::Normal => 0,
-            TaskPhase::PrivateConvolve => 1,
-            TaskPhase::Reduce => 2,
-        }
-    }
-
-    fn decode(v: u64) -> Self {
-        match v {
-            0 => TaskPhase::Normal,
-            1 => TaskPhase::PrivateConvolve,
-            2 => TaskPhase::Reduce,
-            _ => unreachable!("invalid phase tag"),
-        }
-    }
 }
 
 /// One executed (task, phase) with its timing, relative to run start.
@@ -120,7 +100,9 @@ pub struct TaskRecord {
     pub end: f64,
 }
 
-/// Timing summary of one [`Executor::run_graph`] call.
+/// Timing summary of one task-graph run, in (task, phase) terms — the view
+/// the load-balance experiments read, converted from a [`DagRunStats`] by
+/// the caller that knows how its node tags encode tasks.
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
     /// Wall-clock duration of the whole run in seconds.
@@ -147,19 +129,15 @@ impl RunStats {
     }
 }
 
-/// Scheduler implementation behind an [`Executor`].
+/// Scheduler implementation behind an [`Executor`]. The persistent pool is
+/// the only one; the type stays so callers that name a backend
+/// ([`Executor::with_backend`], `NufftConfig::backend`) keep compiling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// Resident worker pool with per-worker sharded queues and work
-    /// stealing — the production backend.
+    /// stealing.
     #[default]
     Persistent,
-    /// The historical scheduler: a fresh `std::thread::scope` per call and
-    /// one global `Mutex`-protected ready queue. Kept as the measurement
-    /// baseline for `benches/pool.rs`; produces bit-identical operator
-    /// results (the TDG exclusion fixes the summation order, not the
-    /// schedule).
-    SpawnPerCall,
 }
 
 /// Admission priority of a job submitted to the persistent pool,
@@ -426,7 +404,7 @@ struct Pool {
     threads: usize,
     /// Serializes `parallel_for` dispatches from handles sharing this
     /// pool: the pool-owned `for_slots` deque words are a single resource.
-    /// Graph/DAG jobs are *not* serialized — they interleave freely
+    /// DAG jobs are *not* serialized — they interleave freely
     /// through the job table, including with the loop job itself.
     for_lock: Mutex<()>,
     /// Per-worker `parallel_for` deque words, owned by the pool so a
@@ -664,376 +642,21 @@ impl Drop for Pool {
 }
 
 // ---------------------------------------------------------------------------
-// run_graph on the pool: sharded ready queues + atomic dependency counters
+// run_dag on the pool: sharded ready queues + atomic dependency counters
 // ---------------------------------------------------------------------------
 
 /// Mutable per-worker stats, written only by the owning worker during a
 /// run and harvested after quiescence — no locks on the fast path.
-/// Generic over the record type: [`TaskRecord`] for [`TaskGraph`] runs,
-/// [`DagRecord`] for heterogeneous [`Dag`] runs.
-struct StatSlot<R>(UnsafeCell<WorkerStats<R>>);
+struct StatSlot(UnsafeCell<WorkerStats>);
 // SAFETY: slot `w` is touched only by worker `w` while the job runs, and
 // only by the dispatcher after all workers have quiesced.
-unsafe impl<R: Send> Sync for StatSlot<R> {}
+unsafe impl Sync for StatSlot {}
 
-struct WorkerStats<R> {
-    busy: f64,
-    log: Vec<R>,
-}
-
-impl<R> Default for WorkerStats<R> {
-    fn default() -> Self {
-        WorkerStats { busy: 0.0, log: Vec::new() }
-    }
-}
-
-/// Reusable arenas for [`Executor::run_graph_reuse`]: ready-queue shards,
-/// dependency counters and per-worker stat slots, sized on first use and
-/// recycled on every subsequent run so a steady-state graph dispatch
-/// performs **zero heap allocations**.
-///
-/// One scratch belongs to one logical stream of runs (e.g. one NUFFT plan);
-/// it must not be shared by concurrent dispatches. After a run,
-/// [`GraphScratch::stats`] exposes the harvested [`RunStats`] in place.
 #[derive(Default)]
-pub struct GraphScratch {
-    /// Per-worker ready-queue shards, each honoring the run's policy.
-    shards: Vec<CachePadded<Mutex<ReadyQueue>>>,
-    /// Unsatisfied prerequisite count per task: predecessor edges, plus one
-    /// extra for a privatized task's own convolve phase. The worker whose
-    /// decrement reaches zero publishes the task — no lock involved.
-    pending: Vec<AtomicU32>,
-    /// Per-worker stat slots, harvested into `stats` after quiescence.
-    slots: Vec<CachePadded<StatSlot<TaskRecord>>>,
-    stats: RunStats,
+struct WorkerStats {
+    busy: f64,
+    log: Vec<DagRecord>,
 }
-
-impl GraphScratch {
-    /// An empty scratch; arenas grow on the first run that uses it.
-    pub fn new() -> Self {
-        GraphScratch::default()
-    }
-
-    /// The stats of the most recent completed run through this scratch.
-    pub fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    /// Mutable access for callers that annotate the harvested stats with
-    /// run-invariant observables (e.g. the NUFFT plan's tile-revisit
-    /// count) without re-running the graph.
-    pub fn stats_mut(&mut self) -> &mut RunStats {
-        &mut self.stats
-    }
-
-    /// Consumes the scratch, returning the last run's stats.
-    pub fn into_stats(self) -> RunStats {
-        self.stats
-    }
-
-    /// Sizes every arena for a `(graph, policy, threads)` run and resets the
-    /// cursors. Allocates only on first use or growth; returns the run's
-    /// logical unit count (privatized tasks count twice).
-    fn prepare(&mut self, graph: &TaskGraph, policy: QueuePolicy, threads: usize) -> usize {
-        let n = graph.len();
-        while self.shards.len() < threads {
-            self.shards.push(CachePadded(Mutex::new(ReadyQueue::new(policy))));
-        }
-        self.shards.truncate(threads);
-        for s in &mut self.shards {
-            let q = s.0.get_mut().unwrap_or_else(|e| e.into_inner());
-            q.reset(policy);
-            // Worker↔shard traffic varies run to run; any shard can
-            // momentarily hold every ready unit (privatized tasks enqueue
-            // twice), so growth must never happen mid-run.
-            q.reserve(2 * n);
-        }
-        while self.pending.len() < n {
-            self.pending.push(AtomicU32::new(0));
-        }
-        self.pending.truncate(n);
-        let mut total = 0usize;
-        for t in 0..n {
-            let extra: u32 = if graph.privatized(t) { 1 } else { 0 };
-            total += 1 + extra as usize;
-            // Relaxed: the dispatch protocol's locks order this store
-            // before any worker's first load.
-            self.pending[t].store(graph.pred_count(t) as u32 + extra, Ordering::Relaxed);
-        }
-        while self.slots.len() < threads {
-            self.slots.push(CachePadded(StatSlot(UnsafeCell::new(WorkerStats::default()))));
-        }
-        self.slots.truncate(threads);
-        for slot in &mut self.slots {
-            let ws = slot.0 .0.get_mut();
-            ws.busy = 0.0;
-            ws.log.clear();
-            // Worker↔task assignment varies run to run, so each slot must
-            // be ready to hold every record; capacity sticks after run one.
-            ws.log.reserve(total);
-        }
-        self.stats.worker_busy.reserve(threads);
-        self.stats.log.reserve(total);
-        total
-    }
-
-    /// Harvests the per-worker slots into `stats` after quiescence.
-    fn harvest(&mut self, makespan: f64) {
-        self.stats.makespan = makespan;
-        self.stats.worker_busy.clear();
-        self.stats.log.clear();
-        for slot in &mut self.slots {
-            let ws = slot.0 .0.get_mut();
-            self.stats.worker_busy.push(ws.busy);
-            self.stats.log.extend_from_slice(&ws.log);
-        }
-    }
-}
-
-struct GraphJob<'g, F> {
-    graph: &'g TaskGraph,
-    task_fn: &'g F,
-    threads: usize,
-    /// Ready-queue shards, borrowed from the run's [`GraphScratch`].
-    shards: &'g [CachePadded<Mutex<ReadyQueue>>],
-    /// Pending-prerequisite counters, borrowed from the scratch.
-    pending: &'g [AtomicU32],
-    /// Logical units retired (privatized tasks count twice).
-    completed: AtomicUsize,
-    /// Logical units total.
-    total: usize,
-    /// Set when a task panicked: workers drain out instead of waiting.
-    poisoned: AtomicBool,
-    panic_payload: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-    /// The pool-wide eventcount this job publishes wakeups through.
-    hub: &'g WakeHub,
-    t0: Instant,
-    slots: &'g [CachePadded<StatSlot<TaskRecord>>],
-}
-
-impl<'g, F> GraphJob<'g, F>
-where
-    F: Fn(TaskId, TaskPhase, usize) + Sync,
-{
-    /// Builds the job over a scratch already sized by
-    /// [`GraphScratch::prepare`] for this `(graph, threads)` pair.
-    fn new(
-        graph: &'g TaskGraph,
-        threads: usize,
-        task_fn: &'g F,
-        scratch: &'g GraphScratch,
-        total: usize,
-        hub: &'g WakeHub,
-    ) -> Self {
-        let n = graph.len();
-        let job = GraphJob {
-            graph,
-            task_fn,
-            threads,
-            shards: &scratch.shards,
-            pending: &scratch.pending,
-            completed: AtomicUsize::new(0),
-            total,
-            poisoned: AtomicBool::new(false),
-            panic_payload: Mutex::new(None),
-            hub,
-            t0: Instant::now(),
-            slots: &scratch.slots,
-        };
-        // Seed the initially ready units round-robin across the shards, in
-        // task order (the same deterministic placement `nufft-sim`
-        // replays): privatized convolve phases are ready unconditionally;
-        // non-privatized tasks are ready when they start with no edges.
-        let mut seed = 0usize;
-        for t in 0..n {
-            if graph.privatized(t) {
-                job.push_to(seed % threads, entry(graph, t, TaskPhase::PrivateConvolve));
-                seed += 1;
-            } else if graph.pred_count(t) == 0 {
-                job.push_to(seed % threads, entry(graph, t, TaskPhase::Normal));
-                seed += 1;
-            }
-        }
-        job
-    }
-
-    fn push_to(&self, shard: usize, e: Entry) {
-        lock(&self.shards[shard].0).push(e);
-    }
-
-    fn finished(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst) || self.completed.load(Ordering::SeqCst) >= self.total
-    }
-
-    /// Pops from the worker's own shard, else steals the policy-best entry
-    /// of the first non-empty victim shard, scanning `(w+1) % T` upward —
-    /// the exact order `nufft-sim` replays.
-    fn find_work(&self, w: usize) -> Option<Entry> {
-        if let Some(e) = lock(&self.shards[w].0).pop() {
-            return Some(e);
-        }
-        for d in 1..self.threads {
-            let v = (w + d) % self.threads;
-            if let Some(e) = lock(&self.shards[v].0).pop() {
-                return Some(e);
-            }
-        }
-        None
-    }
-
-    fn any_ready(&self) -> bool {
-        self.shards.iter().any(|s| !lock(&s.0).is_empty())
-    }
-
-    /// Wakes parked threads; cheap no-op while everyone is busy.
-    fn wake(&self) {
-        self.hub.wake();
-    }
-
-    /// Retires one prerequisite of `t`; publishes the task to the calling
-    /// worker's own shard when the last prerequisite falls.
-    fn retire_edge(&self, w: usize, t: TaskId) {
-        if self.pending[t].fetch_sub(1, Ordering::SeqCst) == 1 {
-            let phase =
-                if self.graph.privatized(t) { TaskPhase::Reduce } else { TaskPhase::Normal };
-            self.push_to(w, entry(self.graph, t, phase));
-            self.wake();
-        }
-    }
-
-    /// Post-completion bookkeeping, entirely lock-free on the edge path.
-    fn complete(&self, w: usize, task: TaskId, phase: TaskPhase) {
-        match phase {
-            // A privatized convolve retires the task's own extra
-            // prerequisite; its reduction becomes ready once the TDG edges
-            // are also satisfied.
-            TaskPhase::PrivateConvolve => self.retire_edge(w, task),
-            TaskPhase::Normal | TaskPhase::Reduce => {
-                for s in self.graph.succs(task) {
-                    self.retire_edge(w, s);
-                }
-            }
-        }
-        if self.completed.fetch_add(1, Ordering::SeqCst) + 1 >= self.total {
-            // Everything retired: wake any parked workers so they exit.
-            self.wake();
-        }
-    }
-
-    fn poison(&self, payload: Box<dyn Any + Send + 'static>) {
-        {
-            let mut slot = lock(&self.panic_payload);
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-        self.poisoned.store(true, Ordering::SeqCst);
-        // Unconditional wake: parked threads must observe the poison.
-        self.hub.wake_all();
-    }
-}
-
-fn entry(graph: &TaskGraph, t: TaskId, phase: TaskPhase) -> Entry {
-    Entry { weight: graph.weight(t), payload: (t as u64) * 4 + phase.encode() }
-}
-
-impl<F> Job for GraphJob<'_, F>
-where
-    F: Fn(TaskId, TaskPhase, usize) + Sync,
-{
-    fn step(&self, w: usize) -> Step {
-        if self.finished() {
-            return Step::Done;
-        }
-        let Some(e) = self.find_work(w) else {
-            return if self.finished() { Step::Done } else { Step::Idle };
-        };
-        // SAFETY: a worker steps one job at a time, two submitters are
-        // never worker 0 of the same job, and the submitter harvests only
-        // after the job's pins drain — so slot `w` has a single writer.
-        let slot = unsafe { &mut *self.slots[w].0 .0.get() };
-        let task = (e.payload / 4) as TaskId;
-        let phase = TaskPhase::decode(e.payload % 4);
-        let start = self.t0.elapsed().as_secs_f64();
-        // A panicking task must not leave other threads parked forever:
-        // poison first; the submitter re-throws after the job quiesces.
-        let result = catch_unwind(AssertUnwindSafe(|| (self.task_fn)(task, phase, w)));
-        if let Err(payload) = result {
-            self.poison(payload);
-            return Step::Done;
-        }
-        let end = self.t0.elapsed().as_secs_f64();
-        slot.busy += end - start;
-        slot.log.push(TaskRecord { task, phase, worker: w, start, end });
-        self.complete(w, task, phase);
-        Step::Ran
-    }
-
-    fn has_ready(&self) -> bool {
-        self.any_ready()
-    }
-
-    fn done(&self) -> bool {
-        self.finished()
-    }
-}
-
-/// Single-threaded `run_graph` with identical policy semantics; used for
-/// 1-thread executors and for (unsupported but safe) reentrant calls from
-/// inside a pool job. Runs entirely out of `scratch` — allocation-free once
-/// the arenas are warm.
-fn run_graph_serial_reuse<F>(
-    graph: &TaskGraph,
-    policy: QueuePolicy,
-    scratch: &mut GraphScratch,
-    task_fn: &F,
-) where
-    F: Fn(TaskId, TaskPhase, usize) + Sync,
-{
-    scratch.prepare(graph, policy, 1);
-    let t0 = Instant::now();
-    {
-        let GraphScratch { shards, pending, slots, .. } = scratch;
-        let ready = shards[0].0.get_mut().unwrap_or_else(|e| e.into_inner());
-        for t in 0..graph.len() {
-            if graph.privatized(t) {
-                ready.push(entry(graph, t, TaskPhase::PrivateConvolve));
-            } else if pending[t].load(Ordering::Relaxed) == 0 {
-                ready.push(entry(graph, t, TaskPhase::Normal));
-            }
-        }
-        let ws = slots[0].0 .0.get_mut();
-        while let Some(e) = ready.pop() {
-            let task = (e.payload / 4) as TaskId;
-            let phase = TaskPhase::decode(e.payload % 4);
-            let start = t0.elapsed().as_secs_f64();
-            task_fn(task, phase, 0);
-            let end = t0.elapsed().as_secs_f64();
-            ws.busy += end - start;
-            ws.log.push(TaskRecord { task, phase, worker: 0, start, end });
-            let mut retire = |t: TaskId| {
-                if pending[t].fetch_sub(1, Ordering::Relaxed) == 1 {
-                    let ph =
-                        if graph.privatized(t) { TaskPhase::Reduce } else { TaskPhase::Normal };
-                    ready.push(entry(graph, t, ph));
-                }
-            };
-            match phase {
-                TaskPhase::PrivateConvolve => retire(task),
-                TaskPhase::Normal | TaskPhase::Reduce => {
-                    for s in graph.succs(task) {
-                        retire(s);
-                    }
-                }
-            }
-        }
-    }
-    scratch.harvest(t0.elapsed().as_secs_f64());
-}
-
-// ---------------------------------------------------------------------------
-// run_dag on the pool: the heterogeneous-graph twin of run_graph
-// ---------------------------------------------------------------------------
 
 /// One executed [`Dag`] node with its timing, relative to run start.
 ///
@@ -1077,16 +700,20 @@ impl DagRunStats {
     }
 }
 
-/// Reusable arenas for [`Executor::run_dag_reuse`] — the [`Dag`]
-/// counterpart of [`GraphScratch`], with the same zero-allocation
-/// steady-state contract: ready-queue shards, pending counters and stat
-/// slots are sized on first use and recycled on every subsequent run.
+/// Reusable arenas for [`Executor::run_dag_reuse`]: ready-queue shards,
+/// pending counters and per-worker stat slots, sized on first use and
+/// recycled on every subsequent run so a steady-state dispatch performs
+/// **zero heap allocations**.
+///
+/// One scratch belongs to one logical stream of runs (e.g. one stage
+/// operator); it must not be shared by concurrent dispatches. After a run,
+/// [`DagScratch::stats`] exposes the harvested [`DagRunStats`] in place.
 #[derive(Default)]
 pub struct DagScratch {
     shards: Vec<CachePadded<Mutex<ReadyQueue>>>,
     /// Unsatisfied predecessor-edge count per node.
     pending: Vec<AtomicU32>,
-    slots: Vec<CachePadded<StatSlot<DagRecord>>>,
+    slots: Vec<CachePadded<StatSlot>>,
     stats: DagRunStats,
 }
 
@@ -1164,13 +791,12 @@ fn dag_entry(dag: &Dag, v: NodeId) -> Entry {
     Entry { weight: dag.priority(v), payload: v as u64 }
 }
 
-/// The pool job for [`Executor::run_dag_reuse`]. Identical scheduling
-/// mechanics to [`GraphJob`] — sharded ready queues seeded round-robin in
-/// node order, lock-free atomic edge retirement publishing to the
-/// completing worker's own shard, eventcount parking, poison-on-panic —
-/// minus the privatization special case (a fused graph expresses
-/// privatized convolutions and their reductions as two ordinary nodes
-/// joined by an explicit edge).
+/// The pool job for [`Executor::run_dag_reuse`]: sharded ready queues
+/// seeded round-robin in node order, lock-free atomic edge retirement
+/// publishing to the completing worker's own shard, eventcount parking,
+/// poison-on-panic. A privatized task needs no special case: the lowering
+/// makes its convolution and reduction two ordinary nodes joined by an
+/// edge.
 struct DagJob<'g, F> {
     dag: &'g Dag,
     node_fn: &'g F,
@@ -1183,7 +809,7 @@ struct DagJob<'g, F> {
     /// The pool-wide eventcount this job publishes wakeups through.
     hub: &'g WakeHub,
     t0: Instant,
-    slots: &'g [CachePadded<StatSlot<DagRecord>>],
+    slots: &'g [CachePadded<StatSlot>],
 }
 
 impl<'g, F> DagJob<'g, F>
@@ -1545,296 +1171,6 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Spawn-per-call baseline (the scheduler this PR replaced)
-// ---------------------------------------------------------------------------
-
-mod spawn {
-    //! The pre-pool scheduler, verbatim semantics: scoped threads per call,
-    //! one global `Mutex<Inner>` + `Condvar` ready queue, a shared atomic
-    //! counter for `parallel_for`. Retained as [`super::ExecBackend::SpawnPerCall`]
-    //! so `benches/pool.rs` can measure what the persistent pool buys.
-
-    use super::{dag_entry, entry, lock, DagRecord, DagRunStats, RunStats, TaskPhase, TaskRecord};
-    use crate::graph::{Dag, NodeId, QueuePolicy, TaskGraph, TaskId};
-    use crate::queue::{Entry, ReadyQueue};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Condvar, Mutex};
-    use std::time::Instant;
-
-    struct Inner {
-        ready: ReadyQueue,
-        pending: Vec<u32>,
-        conv_done: Vec<bool>,
-        completed: usize,
-        total: usize,
-        poisoned: bool,
-    }
-
-    struct Shared<'g> {
-        graph: &'g TaskGraph,
-        inner: Mutex<Inner>,
-        cv: Condvar,
-    }
-
-    impl Shared<'_> {
-        fn pop_blocking(&self) -> Option<Entry> {
-            let mut inner = lock(&self.inner);
-            loop {
-                if inner.poisoned {
-                    return None;
-                }
-                if let Some(e) = inner.ready.pop() {
-                    return Some(e);
-                }
-                if inner.completed == inner.total {
-                    return None;
-                }
-                inner = self.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-
-        fn poison(&self) {
-            let mut inner = lock(&self.inner);
-            inner.poisoned = true;
-            self.cv.notify_all();
-        }
-
-        fn complete(&self, task: TaskId, phase: TaskPhase) {
-            let graph = self.graph;
-            let mut inner = lock(&self.inner);
-            inner.completed += 1;
-            match phase {
-                TaskPhase::PrivateConvolve => {
-                    inner.conv_done[task] = true;
-                    if inner.pending[task] == 0 {
-                        inner.ready.push(entry(graph, task, TaskPhase::Reduce));
-                    }
-                }
-                TaskPhase::Normal | TaskPhase::Reduce => {
-                    for s in graph.succs(task) {
-                        inner.pending[s] -= 1;
-                        if inner.pending[s] == 0 {
-                            if graph.privatized(s) {
-                                if inner.conv_done[s] {
-                                    inner.ready.push(entry(graph, s, TaskPhase::Reduce));
-                                }
-                            } else {
-                                inner.ready.push(entry(graph, s, TaskPhase::Normal));
-                            }
-                        }
-                    }
-                }
-            }
-            self.cv.notify_all();
-        }
-    }
-
-    pub(super) fn run_graph<F>(
-        threads: usize,
-        graph: &TaskGraph,
-        policy: QueuePolicy,
-        task_fn: &F,
-    ) -> RunStats
-    where
-        F: Fn(TaskId, TaskPhase, usize) + Sync,
-    {
-        let n = graph.len();
-        let mut ready = ReadyQueue::new(policy);
-        let mut pending = vec![0u32; n];
-        let mut total = 0usize;
-        for t in 0..n {
-            pending[t] = graph.pred_count(t) as u32;
-            if graph.privatized(t) {
-                total += 2;
-                ready.push(entry(graph, t, TaskPhase::PrivateConvolve));
-            } else {
-                total += 1;
-                if pending[t] == 0 {
-                    ready.push(entry(graph, t, TaskPhase::Normal));
-                }
-            }
-        }
-        let shared = Shared {
-            graph,
-            inner: Mutex::new(Inner {
-                ready,
-                pending,
-                conv_done: vec![false; n],
-                completed: 0,
-                total,
-                poisoned: false,
-            }),
-            cv: Condvar::new(),
-        };
-
-        let t0 = Instant::now();
-        let busy: Vec<Mutex<f64>> = (0..threads).map(|_| Mutex::new(0.0)).collect();
-        let logs: Vec<Mutex<Vec<TaskRecord>>> =
-            (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let shared = &shared;
-                let busy = &busy[w];
-                let log = &logs[w];
-                scope.spawn(move || {
-                    while let Some(e) = shared.pop_blocking() {
-                        let task = (e.payload / 4) as TaskId;
-                        let phase = TaskPhase::decode(e.payload % 4);
-                        let start = t0.elapsed().as_secs_f64();
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            task_fn(task, phase, w)
-                        }));
-                        if let Err(payload) = result {
-                            shared.poison();
-                            std::panic::resume_unwind(payload);
-                        }
-                        let end = t0.elapsed().as_secs_f64();
-                        *lock(busy) += end - start;
-                        lock(log).push(TaskRecord { task, phase, worker: w, start, end });
-                        shared.complete(task, phase);
-                    }
-                });
-            }
-        });
-
-        let makespan = t0.elapsed().as_secs_f64();
-        let worker_busy: Vec<f64> = busy.iter().map(|m| *lock(m)).collect();
-        let mut log = Vec::new();
-        for l in logs {
-            log.extend(l.into_inner().unwrap_or_else(|e| e.into_inner()));
-        }
-        RunStats { makespan, worker_busy, log, tile_revisits: 0 }
-    }
-
-    /// The spawn-per-call twin of the pool's `DagJob`: scoped threads, one
-    /// global ready queue, blocking pops. Same edge-retirement semantics.
-    pub(super) fn run_dag<F>(
-        threads: usize,
-        dag: &Dag,
-        policy: QueuePolicy,
-        node_fn: &F,
-    ) -> DagRunStats
-    where
-        F: Fn(NodeId, u64, usize) + Sync,
-    {
-        struct DagInner {
-            ready: ReadyQueue,
-            pending: Vec<u32>,
-            completed: usize,
-            poisoned: bool,
-        }
-        struct DagShared<'g> {
-            dag: &'g Dag,
-            inner: Mutex<DagInner>,
-            cv: Condvar,
-        }
-        impl DagShared<'_> {
-            fn pop_blocking(&self) -> Option<Entry> {
-                let mut inner = lock(&self.inner);
-                loop {
-                    if inner.poisoned {
-                        return None;
-                    }
-                    if let Some(e) = inner.ready.pop() {
-                        return Some(e);
-                    }
-                    if inner.completed == self.dag.len() {
-                        return None;
-                    }
-                    inner = self.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
-                }
-            }
-        }
-
-        let n = dag.len();
-        let mut ready = ReadyQueue::new(policy);
-        let mut pending = vec![0u32; n];
-        for v in 0..n as NodeId {
-            pending[v as usize] = dag.pred_count(v);
-            if pending[v as usize] == 0 {
-                ready.push(dag_entry(dag, v));
-            }
-        }
-        let shared = DagShared {
-            dag,
-            inner: Mutex::new(DagInner { ready, pending, completed: 0, poisoned: false }),
-            cv: Condvar::new(),
-        };
-
-        let t0 = Instant::now();
-        let busy: Vec<Mutex<f64>> = (0..threads).map(|_| Mutex::new(0.0)).collect();
-        let logs: Vec<Mutex<Vec<DagRecord>>> =
-            (0..threads).map(|_| Mutex::new(Vec::new())).collect();
-
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let shared = &shared;
-                let busy = &busy[w];
-                let log = &logs[w];
-                scope.spawn(move || {
-                    while let Some(e) = shared.pop_blocking() {
-                        let node = e.payload as NodeId;
-                        let tag = dag.tag(node);
-                        let start = t0.elapsed().as_secs_f64();
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            node_fn(node, tag, w)
-                        }));
-                        if let Err(payload) = result {
-                            let mut inner = lock(&shared.inner);
-                            inner.poisoned = true;
-                            shared.cv.notify_all();
-                            drop(inner);
-                            std::panic::resume_unwind(payload);
-                        }
-                        let end = t0.elapsed().as_secs_f64();
-                        *lock(busy) += end - start;
-                        lock(log).push(DagRecord { node, tag, worker: w, start, end });
-                        let mut inner = lock(&shared.inner);
-                        inner.completed += 1;
-                        for &s in dag.succs(node) {
-                            inner.pending[s as usize] -= 1;
-                            if inner.pending[s as usize] == 0 {
-                                inner.ready.push(dag_entry(dag, s));
-                            }
-                        }
-                        shared.cv.notify_all();
-                    }
-                });
-            }
-        });
-
-        let makespan = t0.elapsed().as_secs_f64();
-        let worker_busy: Vec<f64> = busy.iter().map(|m| *lock(m)).collect();
-        let mut log = Vec::new();
-        for l in logs {
-            log.extend(l.into_inner().unwrap_or_else(|e| e.into_inner()));
-        }
-        DagRunStats { makespan, worker_busy, log }
-    }
-
-    pub(super) fn parallel_for<F>(threads: usize, n: usize, grain: usize, body: &F)
-    where
-        F: Fn(core::ops::Range<usize>, usize) + Sync,
-    {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let next = &next;
-                scope.spawn(move || loop {
-                    let start = next.fetch_add(grain, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + grain).min(n);
-                    body(start..end, w);
-                });
-            }
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Executor
 // ---------------------------------------------------------------------------
 
@@ -1845,66 +1181,56 @@ mod spawn {
 ///
 /// ```
 /// use nufft_parallel::exec::Executor;
-/// use nufft_parallel::graph::{QueuePolicy, TaskGraph};
+/// use nufft_parallel::graph::{DagBuilder, QueuePolicy, TaskGraph};
 /// use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// let graph = TaskGraph::new(&[3, 3]);
+/// let mut builder = DagBuilder::new();
+/// builder.add_task_graph(&graph, |task, _phase| task as u64, |task, _phase| graph.weight(task));
+/// let dag = builder.build();
 /// let ran = AtomicUsize::new(0);
-/// Executor::new(2).run_graph(&graph, QueuePolicy::Priority, |_task, _phase, _worker| {
+/// Executor::new(2).run_dag(&dag, QueuePolicy::Priority, |_node, _tag, _worker| {
 ///     ran.fetch_add(1, Ordering::Relaxed);
 /// });
 /// assert_eq!(ran.load(Ordering::Relaxed), 9); // every task ran exactly once
 /// ```
+#[derive(Clone)]
 pub struct Executor {
     threads: usize,
-    backend: ExecBackend,
-    /// Lazily populated worker pool; `None` under [`ExecBackend::SpawnPerCall`].
-    pool: Option<Arc<Pool>>,
-}
-
-impl Clone for Executor {
-    fn clone(&self) -> Self {
-        Executor { threads: self.threads, backend: self.backend, pool: self.pool.clone() }
-    }
+    /// The worker pool; its threads are spawned on the first dispatch.
+    pool: Arc<Pool>,
 }
 
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Executor")
-            .field("threads", &self.threads)
-            .field("backend", &self.backend)
-            .finish()
+        f.debug_struct("Executor").field("threads", &self.threads).finish()
     }
 }
 
 impl Executor {
-    /// Creates an executor with `threads` resident workers (persistent
-    /// backend). The workers themselves are spawned lazily on the first
-    /// dispatch that can use them.
+    /// Creates an executor with `threads` resident workers. The workers
+    /// themselves are spawned lazily on the first dispatch that can use
+    /// them.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
     pub fn new(threads: usize) -> Self {
-        Executor::with_backend(threads, ExecBackend::Persistent)
-    }
-
-    /// Creates an executor with an explicit scheduler backend — used by the
-    /// `pool` benchmark to A/B the persistent pool against the historical
-    /// spawn-per-call scheduler.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn with_backend(threads: usize, backend: ExecBackend) -> Self {
         assert!(
             threads > 0,
             "executor needs at least one worker thread (got threads = 0); \
              use Executor::host() to size from the machine"
         );
-        let pool = match backend {
-            ExecBackend::Persistent => Some(Arc::new(Pool::new(threads))),
-            ExecBackend::SpawnPerCall => None,
-        };
-        Executor { threads, backend, pool }
+        Executor { threads, pool: Arc::new(Pool::new(threads)) }
+    }
+
+    /// [`Executor::new`] for callers that name a backend. The persistent
+    /// pool is the only [`ExecBackend`], so this is `new(threads)`; it is
+    /// kept because the repository benchmark builds its executors with it.
+    ///
+    /// # Panics
+    /// Panics if `threads == 0`.
+    pub fn with_backend(threads: usize, _backend: ExecBackend) -> Self {
+        Executor::new(threads)
     }
 
     /// An executor sized to the host's available parallelism (probed once
@@ -1925,88 +1251,11 @@ impl Executor {
         self.threads
     }
 
-    /// The scheduler backend in use.
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
-    }
-
-    /// Runs every task of `graph` exactly once, respecting dependency edges
-    /// and the privatization protocol. `task_fn(task, phase, worker)` is
-    /// called for each (task, phase) unit; the caller guarantees that the
-    /// work done under [`TaskPhase::Normal`]/[`TaskPhase::Reduce`] for
-    /// adjacent tasks touches the shared grid only within the task's own
-    /// partition halo (which the TDG then serializes correctly).
-    pub fn run_graph<F>(&self, graph: &TaskGraph, policy: QueuePolicy, task_fn: F) -> RunStats
-    where
-        F: Fn(TaskId, TaskPhase, usize) + Sync,
-    {
-        let mut scratch = GraphScratch::new();
-        self.run_graph_reuse(graph, policy, &mut scratch, task_fn);
-        scratch.into_stats()
-    }
-
-    /// [`Executor::run_graph`] against caller-owned [`GraphScratch`]: all
-    /// run bookkeeping (ready-queue shards, dependency counters, stat
-    /// logs) lives in `scratch` and is recycled, so repeated dispatches of
-    /// same-shaped graphs allocate nothing after the first. The run's
-    /// [`RunStats`] are left in [`GraphScratch::stats`].
-    pub fn run_graph_reuse<F>(
-        &self,
-        graph: &TaskGraph,
-        policy: QueuePolicy,
-        scratch: &mut GraphScratch,
-        task_fn: F,
-    ) where
-        F: Fn(TaskId, TaskPhase, usize) + Sync,
-    {
-        self.run_graph_reuse_prio(graph, policy, JobPriority::Normal, scratch, task_fn);
-    }
-
-    /// [`Executor::run_graph_reuse`] with an explicit admission priority
-    /// for the pool's fair-share scheduler. Priority only matters when
-    /// jobs from several threads are in flight on the shared pool; the
-    /// spawn-per-call baseline and the serial fast paths ignore it.
-    pub fn run_graph_reuse_prio<F>(
-        &self,
-        graph: &TaskGraph,
-        policy: QueuePolicy,
-        priority: JobPriority,
-        scratch: &mut GraphScratch,
-        task_fn: F,
-    ) where
-        F: Fn(TaskId, TaskPhase, usize) + Sync,
-    {
-        match self.backend {
-            ExecBackend::SpawnPerCall => {
-                scratch.stats = spawn::run_graph(self.threads, graph, policy, &task_fn);
-            }
-            ExecBackend::Persistent => {
-                if self.threads == 1 || IN_POOL_JOB.with(|f| f.get()) {
-                    return run_graph_serial_reuse(graph, policy, scratch, &task_fn);
-                }
-                let pool = self.pool.as_ref().expect("persistent backend owns a pool");
-                let total = scratch.prepare(graph, policy, self.threads);
-                let makespan;
-                let payload;
-                {
-                    let job =
-                        GraphJob::new(graph, self.threads, &task_fn, scratch, total, pool.hub());
-                    pool.run_to_completion(&job, priority);
-                    makespan = job.t0.elapsed().as_secs_f64();
-                    payload = lock(&job.panic_payload).take();
-                }
-                if let Some(payload) = payload {
-                    resume_unwind(payload);
-                }
-                scratch.harvest(makespan);
-            }
-        }
-    }
-
     /// Runs every node of a heterogeneous [`Dag`] exactly once, respecting
-    /// its dependency edges — the fused-pipeline twin of
-    /// [`Executor::run_graph`]. `node_fn(node, tag, worker)` receives the
-    /// node's opaque tag so one closure can dispatch on task kind.
+    /// its dependency edges. `node_fn(node, tag, worker)` receives the
+    /// node's opaque tag so one closure can dispatch on task kind. A
+    /// [`crate::graph::TaskGraph`] runs here after
+    /// [`crate::graph::DagBuilder::add_task_graph`] lowers it.
     pub fn run_dag<F>(&self, dag: &Dag, policy: QueuePolicy, node_fn: F) -> DagRunStats
     where
         F: Fn(NodeId, u64, usize) + Sync,
@@ -2034,8 +1283,8 @@ impl Executor {
 
     /// [`Executor::run_dag_reuse`] with an explicit admission priority for
     /// the pool's fair-share scheduler. Priority only matters when jobs
-    /// from several threads are in flight on the shared pool; the
-    /// spawn-per-call baseline and the serial fast paths ignore it.
+    /// from several threads are in flight on the shared pool; the serial
+    /// fast paths ignore it.
     pub fn run_dag_reuse_prio<F>(
         &self,
         dag: &Dag,
@@ -2046,30 +1295,23 @@ impl Executor {
     ) where
         F: Fn(NodeId, u64, usize) + Sync,
     {
-        match self.backend {
-            ExecBackend::SpawnPerCall => {
-                scratch.stats = spawn::run_dag(self.threads, dag, policy, &node_fn);
-            }
-            ExecBackend::Persistent => {
-                if self.threads == 1 || IN_POOL_JOB.with(|f| f.get()) {
-                    return run_dag_serial_reuse(dag, policy, scratch, &node_fn);
-                }
-                let pool = self.pool.as_ref().expect("persistent backend owns a pool");
-                scratch.prepare(dag, policy, self.threads);
-                let makespan;
-                let payload;
-                {
-                    let job = DagJob::new(dag, self.threads, &node_fn, scratch, pool.hub());
-                    pool.run_to_completion(&job, priority);
-                    makespan = job.t0.elapsed().as_secs_f64();
-                    payload = lock(&job.panic_payload).take();
-                }
-                if let Some(payload) = payload {
-                    resume_unwind(payload);
-                }
-                scratch.harvest(makespan);
-            }
+        if self.threads == 1 || IN_POOL_JOB.with(|f| f.get()) {
+            return run_dag_serial_reuse(dag, policy, scratch, &node_fn);
         }
+        let pool = &self.pool;
+        scratch.prepare(dag, policy, self.threads);
+        let makespan;
+        let payload;
+        {
+            let job = DagJob::new(dag, self.threads, &node_fn, scratch, pool.hub());
+            pool.run_to_completion(&job, priority);
+            makespan = job.t0.elapsed().as_secs_f64();
+            payload = lock(&job.panic_payload).take();
+        }
+        if let Some(payload) = payload {
+            resume_unwind(payload);
+        }
+        scratch.harvest(makespan);
     }
 
     /// Dynamic parallel loop over `0..n`: every worker starts with one
@@ -2106,27 +1348,18 @@ impl Executor {
             body(0..n, 0);
             return;
         }
-        match self.backend {
-            ExecBackend::SpawnPerCall => {
-                // The shared-counter baseline: boundaries are multiples of
-                // the (align-rounded) grain, so alignment still holds.
-                spawn::parallel_for(self.threads, n, grain.next_multiple_of(align), &body);
-            }
-            ExecBackend::Persistent => {
-                let pool = self.pool.as_ref().expect("persistent backend owns a pool");
-                // Seed the pool-owned deque words and run under a single
-                // hold of the loop lock, so a concurrent `parallel_for`
-                // from another handle cannot clobber the seeds. Graph/DAG
-                // jobs still interleave: only loop dispatches serialize.
-                let serial = lock(&pool.for_lock);
-                let job = ForJob::new(&pool.for_slots, n, grain, align, self.threads, &body);
-                pool.run_to_completion(&job, JobPriority::Normal);
-                drop(serial);
-                let payload = lock(&job.panic_payload).take();
-                if let Some(payload) = payload {
-                    resume_unwind(payload);
-                }
-            }
+        let pool = &self.pool;
+        // Seed the pool-owned deque words and run under a single hold of
+        // the loop lock, so a concurrent `parallel_for` from another handle
+        // cannot clobber the seeds. DAG jobs still interleave: only loop
+        // dispatches serialize. Loops always run at `JobPriority::Normal`.
+        let serial = lock(&pool.for_lock);
+        let job = ForJob::new(&pool.for_slots, n, grain, align, self.threads, &body);
+        pool.run_to_completion(&job, JobPriority::Normal);
+        drop(serial);
+        let payload = lock(&job.panic_payload).take();
+        if let Some(payload) = payload {
+            resume_unwind(payload);
         }
     }
 }
@@ -2134,14 +1367,42 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{DagBuilder, TaskGraph};
     use std::sync::atomic::{AtomicBool, AtomicU32};
+
+    /// Lowers `graph` with node tags that encode `(task, phase)`.
+    fn lower(graph: &TaskGraph) -> Dag {
+        let mut b = DagBuilder::new();
+        b.add_task_graph(graph, |t, p| ((t as u64) << 2) | p as u64, |t, _| graph.weight(t));
+        b.build()
+    }
+
+    fn untag(tag: u64) -> (TaskId, TaskPhase) {
+        let phase = match tag & 3 {
+            0 => TaskPhase::Normal,
+            1 => TaskPhase::PrivateConvolve,
+            _ => TaskPhase::Reduce,
+        };
+        ((tag >> 2) as TaskId, phase)
+    }
+
+    /// Runs the lowered `graph`, handing `f` each node's `(task, phase)`.
+    fn run_tasks<F>(exec: &Executor, graph: &TaskGraph, policy: QueuePolicy, f: F) -> DagRunStats
+    where
+        F: Fn(TaskId, TaskPhase, usize) + Sync,
+    {
+        exec.run_dag(&lower(graph), policy, |_v, tag, w| {
+            let (t, p) = untag(tag);
+            f(t, p, w)
+        })
+    }
 
     #[test]
     fn every_task_runs_exactly_once() {
         let graph = TaskGraph::new(&[4, 5]);
         let counts: Vec<AtomicU32> = (0..graph.len()).map(|_| AtomicU32::new(0)).collect();
         let exec = Executor::new(4);
-        let stats = exec.run_graph(&graph, QueuePolicy::Fifo, |t, phase, _w| {
+        let stats = run_tasks(&exec, &graph, QueuePolicy::Fifo, |t, phase, _w| {
             assert_eq!(phase, TaskPhase::Normal);
             counts[t].fetch_add(1, Ordering::SeqCst);
         });
@@ -2159,7 +1420,7 @@ mod tests {
         for _ in 0..5 {
             let graph = TaskGraph::new(&[3, 3]);
             let count = AtomicU32::new(0);
-            exec.run_graph(&graph, QueuePolicy::Priority, |_t, _p, _w| {
+            run_tasks(&exec, &graph, QueuePolicy::Priority, |_t, _p, _w| {
                 count.fetch_add(1, Ordering::SeqCst);
             });
             assert_eq!(count.load(Ordering::SeqCst), 9);
@@ -2177,30 +1438,13 @@ mod tests {
         let b = a.clone();
         let graph = TaskGraph::new(&[4, 4]);
         let count = AtomicU32::new(0);
-        a.run_graph(&graph, QueuePolicy::Fifo, |_t, _p, _w| {
+        run_tasks(&a, &graph, QueuePolicy::Fifo, |_t, _p, _w| {
             count.fetch_add(1, Ordering::SeqCst);
         });
-        b.run_graph(&graph, QueuePolicy::Fifo, |_t, _p, _w| {
+        run_tasks(&b, &graph, QueuePolicy::Fifo, |_t, _p, _w| {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 32);
-    }
-
-    #[test]
-    fn spawn_backend_still_works() {
-        let graph = TaskGraph::new(&[4, 4]);
-        let exec = Executor::with_backend(3, ExecBackend::SpawnPerCall);
-        let count = AtomicU32::new(0);
-        let stats = exec.run_graph(&graph, QueuePolicy::Priority, |_t, _p, _w| {
-            count.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 16);
-        assert_eq!(stats.log.len(), 16);
-        let hits = AtomicU32::new(0);
-        exec.parallel_for(1000, 64, |r, _w| {
-            hits.fetch_add(r.len() as u32, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 1000);
     }
 
     #[test]
@@ -2213,7 +1457,7 @@ mod tests {
         let reduce_seen: Vec<AtomicBool> =
             (0..graph.len()).map(|_| AtomicBool::new(false)).collect();
         let exec = Executor::new(3);
-        exec.run_graph(&graph, QueuePolicy::Priority, |t, phase, _w| match phase {
+        run_tasks(&exec, &graph, QueuePolicy::Priority, |t, phase, _w| match phase {
             TaskPhase::Normal => {
                 assert!(!graph.privatized(t));
             }
@@ -2241,7 +1485,7 @@ mod tests {
         let graph = TaskGraph::new(&[5, 4]);
         let done: Vec<AtomicBool> = (0..graph.len()).map(|_| AtomicBool::new(false)).collect();
         let exec = Executor::new(4);
-        exec.run_graph(&graph, QueuePolicy::Fifo, |t, _phase, _w| {
+        run_tasks(&exec, &graph, QueuePolicy::Fifo, |t, _phase, _w| {
             for p in graph.preds(t) {
                 assert!(done[p].load(Ordering::SeqCst), "task {t} ran before pred {p}");
             }
@@ -2257,7 +1501,7 @@ mod tests {
         let running: Vec<AtomicBool> = (0..graph.len()).map(|_| AtomicBool::new(false)).collect();
         let exec = Executor::new(8);
         for policy in [QueuePolicy::Fifo, QueuePolicy::Priority] {
-            exec.run_graph(&graph, policy, |t, _phase, _w| {
+            run_tasks(&exec, &graph, policy, |t, _phase, _w| {
                 running[t].store(true, Ordering::SeqCst);
                 for other in 0..graph.len() {
                     if graph.adjacent(t, other) {
@@ -2288,7 +1532,7 @@ mod tests {
         let touching_grid: Vec<AtomicBool> =
             (0..graph.len()).map(|_| AtomicBool::new(false)).collect();
         let exec = Executor::new(6);
-        exec.run_graph(&graph, QueuePolicy::Priority, |t, phase, _w| {
+        run_tasks(&exec, &graph, QueuePolicy::Priority, |t, phase, _w| {
             if phase == TaskPhase::PrivateConvolve {
                 return; // private buffer only
             }
@@ -2316,7 +1560,7 @@ mod tests {
         }
         let order = Mutex::new(Vec::new());
         let exec = Executor::new(1);
-        exec.run_graph(&graph, QueuePolicy::Priority, |t, _phase, _w| {
+        run_tasks(&exec, &graph, QueuePolicy::Priority, |t, _phase, _w| {
             lock(&order).push(t);
         });
         let order = order.into_inner().unwrap();
@@ -2332,7 +1576,7 @@ mod tests {
     fn stats_are_populated() {
         let graph = TaskGraph::new(&[4, 4]);
         let exec = Executor::new(2);
-        let stats = exec.run_graph(&graph, QueuePolicy::Fifo, |_t, _p, _w| {
+        let stats = run_tasks(&exec, &graph, QueuePolicy::Fifo, |_t, _p, _w| {
             std::hint::black_box(0u64);
         });
         assert_eq!(stats.worker_busy.len(), 2);
@@ -2393,12 +1637,12 @@ mod tests {
 
     #[test]
     fn panicking_task_propagates_rather_than_deadlocking() {
-        // A panic inside one task must unwind out of run_graph, never hang
+        // A panic inside one task must unwind out of run_dag, never hang
         // the other workers forever — and the pool must stay usable.
         let graph = TaskGraph::new(&[3, 3]);
         let exec = Executor::new(2);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec.run_graph(&graph, QueuePolicy::Fifo, |t, _p, _w| {
+            run_tasks(&exec, &graph, QueuePolicy::Fifo, |t, _p, _w| {
                 if t == 4 {
                     panic!("injected task failure");
                 }
@@ -2407,7 +1651,7 @@ mod tests {
         assert!(result.is_err(), "panic was swallowed");
         // The pool survives a poisoned run.
         let count = AtomicU32::new(0);
-        exec.run_graph(&graph, QueuePolicy::Fifo, |_t, _p, _w| {
+        run_tasks(&exec, &graph, QueuePolicy::Fifo, |_t, _p, _w| {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 9);
@@ -2436,7 +1680,7 @@ mod tests {
         // Many more workers than host cores (and than ready tasks).
         let graph = TaskGraph::new(&[2, 2]);
         let count = AtomicU32::new(0);
-        Executor::new(16).run_graph(&graph, QueuePolicy::Priority, |_t, _p, _w| {
+        run_tasks(&Executor::new(16), &graph, QueuePolicy::Priority, |_t, _p, _w| {
             count.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(count.load(Ordering::SeqCst), 4);
@@ -2475,12 +1719,12 @@ mod tests {
     }
 
     #[test]
-    fn run_graph_reuse_recycles_scratch_across_runs() {
+    fn lowered_graph_reuse_recycles_scratch_across_runs() {
         // Same scratch, several runs (including a policy switch and a
         // different graph shape): every run must still execute each task
         // exactly once and leave fresh stats behind.
         let exec = Executor::new(3);
-        let mut scratch = GraphScratch::new();
+        let mut scratch = DagScratch::new();
         for (dims, policy) in [
             (&[4usize, 4][..], QueuePolicy::Priority),
             (&[4, 4][..], QueuePolicy::Priority),
@@ -2492,7 +1736,8 @@ mod tests {
                 graph.set_privatized(t, t % 3 == 0);
             }
             let counts: Vec<AtomicU32> = (0..graph.len()).map(|_| AtomicU32::new(0)).collect();
-            exec.run_graph_reuse(&graph, policy, &mut scratch, |t, phase, _w| {
+            exec.run_dag_reuse(&lower(&graph), policy, &mut scratch, |_v, tag, _w| {
+                let (t, phase) = untag(tag);
                 if phase != TaskPhase::PrivateConvolve {
                     counts[t].fetch_add(1, Ordering::SeqCst);
                 }
@@ -2504,27 +1749,6 @@ mod tests {
             assert_eq!(scratch.stats().log.len(), expect);
             assert_eq!(scratch.stats().worker_busy.len(), 3);
         }
-    }
-
-    #[test]
-    fn backend_runs_produce_identical_task_sets() {
-        // Same graph through both backends: same (task, phase) multiset.
-        let mut graph = TaskGraph::new(&[4, 4]);
-        for t in 0..graph.len() {
-            graph.set_weight(t, (t as u64 * 37) % 100);
-            graph.set_privatized(t, t % 3 == 0);
-        }
-        let collect = |backend| {
-            let exec = Executor::with_backend(3, backend);
-            let log = Mutex::new(Vec::new());
-            exec.run_graph(&graph, QueuePolicy::Priority, |t, p, _w| {
-                lock(&log).push((t, p.encode()));
-            });
-            let mut v = log.into_inner().unwrap();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(collect(ExecBackend::Persistent), collect(ExecBackend::SpawnPerCall));
     }
 
     /// A small diamond-rich layered DAG for the run_dag tests: `layers`
@@ -2576,8 +1800,8 @@ mod tests {
     #[test]
     fn dag_backends_and_thread_counts_agree() {
         let dag = layered_dag(3, 4);
-        let collect = |backend, threads| {
-            let exec = Executor::with_backend(threads, backend);
+        let collect = |threads| {
+            let exec = Executor::new(threads);
             let log = Mutex::new(Vec::new());
             exec.run_dag(&dag, QueuePolicy::Fifo, |v, tag, _w| {
                 lock(&log).push((v, tag));
@@ -2586,11 +1810,9 @@ mod tests {
             v.sort_unstable();
             v
         };
-        let reference = collect(ExecBackend::Persistent, 1);
-        for backend in [ExecBackend::Persistent, ExecBackend::SpawnPerCall] {
-            for threads in [2usize, 4] {
-                assert_eq!(collect(backend, threads), reference, "{backend:?} × {threads}");
-            }
+        let reference = collect(1);
+        for threads in [2usize, 4] {
+            assert_eq!(collect(threads), reference, "{threads} threads");
         }
     }
 

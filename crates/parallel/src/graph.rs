@@ -11,6 +11,7 @@
 //! turn, exactly as required for the exclusion invariant to hold at grid
 //! boundaries.
 
+use crate::exec::TaskPhase;
 use crate::gray::{gray_code, gray_rank};
 
 /// Index of a task within a [`TaskGraph`].
@@ -347,6 +348,47 @@ impl DagBuilder {
         self.edges.push((from, to));
     }
 
+    /// Lowers a [`TaskGraph`] into this builder — the one TaskGraph → Dag
+    /// lowering, used by every executor run of the paper's task graph.
+    ///
+    /// Nodes are added in task order. A selectively privatized task becomes
+    /// a [`TaskPhase::PrivateConvolve`] node and a [`TaskPhase::Reduce`]
+    /// node joined by one edge; any other task becomes one
+    /// [`TaskPhase::Normal`] node. The node that writes the shared grid (the
+    /// reduce node, or the single node) carries the task's Gray-code
+    /// predecessor edges, so the graph's roots in node order are the
+    /// privatized convolves and the rank-0 plain tasks in task order — the
+    /// seeding `nufft-sim`'s `simulate` replays. `tag(task, phase)` and
+    /// `weight(task, phase)` label each node.
+    ///
+    /// Returns each task's shared-write node id, for callers that wire
+    /// further edges into or out of the task graph.
+    pub fn add_task_graph(
+        &mut self,
+        graph: &TaskGraph,
+        tag: impl Fn(TaskId, TaskPhase) -> u64,
+        weight: impl Fn(TaskId, TaskPhase) -> u64,
+    ) -> Vec<NodeId> {
+        let mut shared = Vec::with_capacity(graph.len());
+        for t in 0..graph.len() {
+            let node = |b: &mut Self, phase| b.add_node(tag(t, phase), weight(t, phase));
+            if graph.privatized(t) {
+                let conv = node(self, TaskPhase::PrivateConvolve);
+                let reduce = node(self, TaskPhase::Reduce);
+                self.add_edge(conv, reduce);
+                shared.push(reduce);
+            } else {
+                shared.push(node(self, TaskPhase::Normal));
+            }
+        }
+        for t in 0..graph.len() {
+            for p in graph.preds(t) {
+                self.add_edge(shared[p], shared[t]);
+            }
+        }
+        shared
+    }
+
     /// Number of nodes added so far.
     pub fn len(&self) -> usize {
         self.tags.len()
@@ -534,6 +576,83 @@ mod dag_tests {
         let a = b.add_node(0, 0);
         b.add_edge(a, 7);
         let _ = b.build();
+    }
+
+    /// The lowering, over random partition shapes (1–3 D, cyclic and
+    /// acyclic) and random privatization masks: one node per task plus one
+    /// per privatized task; every convolve node a root whose only successor
+    /// is its reduce node; every shared-write node carrying exactly its
+    /// task's Gray-code predecessors; roots in task order.
+    #[test]
+    fn task_graph_lowering_keeps_tasks_edges_and_root_order() {
+        nufft_testkit::prop_check("task_graph_lowering", 0x10E7_D0A6, 96, |rng| {
+            let nd = rng.gen_usize(1..4);
+            let mut dims = Vec::with_capacity(nd);
+            let mut wrap = Vec::with_capacity(nd);
+            for _ in 0..nd {
+                let mut n = rng.gen_usize(1..7);
+                let w = rng.gen_bool();
+                if w && n % 2 == 1 && n > 1 {
+                    n += 1;
+                }
+                dims.push(n);
+                wrap.push(w);
+            }
+            let mut graph = TaskGraph::new_cyclic(&dims, &wrap);
+            for t in 0..graph.len() {
+                graph.set_privatized(t, rng.gen_bool());
+            }
+            let mut b = DagBuilder::new();
+            let shared =
+                b.add_task_graph(&graph, |t, p| ((t as u64) << 2) | p as u64, |t, _| t as u64);
+            let dag = b.build();
+            let label = format!("dims {dims:?} wrap {wrap:?}");
+            let untag = |v: NodeId| ((dag.tag(v) >> 2) as TaskId, dag.tag(v) & 3);
+            let (normal, conv, reduce) = (
+                TaskPhase::Normal as u64,
+                TaskPhase::PrivateConvolve as u64,
+                TaskPhase::Reduce as u64,
+            );
+
+            assert_eq!(dag.len(), graph.len() + graph.num_privatized(), "{label}");
+            let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); dag.len()];
+            for v in 0..dag.len() as NodeId {
+                for &s in dag.succs(v) {
+                    preds[s as usize].push(v);
+                }
+            }
+            for t in 0..graph.len() {
+                let s = shared[t];
+                let phase = if graph.privatized(t) { reduce } else { normal };
+                assert_eq!(untag(s), (t, phase), "{label}: task {t} shared node");
+                let mut want: Vec<NodeId> = graph.preds(t).map(|p| shared[p]).collect();
+                let mut got: Vec<NodeId> =
+                    preds[s as usize].iter().copied().filter(|&v| untag(v).1 != conv).collect();
+                want.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, want, "{label}: task {t} Gray-code predecessors");
+            }
+            for v in 0..dag.len() as NodeId {
+                let (t, phase) = untag(v);
+                if phase == conv {
+                    assert_eq!(dag.pred_count(v), 0, "{label}: convolve {t} is not a root");
+                    assert_eq!(dag.succs(v), &[shared[t]], "{label}: convolve {t} successors");
+                    assert_eq!(preds[shared[t] as usize].iter().filter(|&&u| u == v).count(), 1);
+                }
+            }
+            let roots: Vec<(TaskId, u64)> =
+                (0..dag.len() as NodeId).filter(|&v| dag.pred_count(v) == 0).map(untag).collect();
+            let want: Vec<(TaskId, u64)> = (0..graph.len())
+                .filter_map(|t| {
+                    if graph.privatized(t) {
+                        Some((t, conv))
+                    } else {
+                        (graph.pred_count(t) == 0).then_some((t, normal))
+                    }
+                })
+                .collect();
+            assert_eq!(roots, want, "{label}: root order");
+        });
     }
 
     #[test]

@@ -12,19 +12,19 @@
 //!   backward edges per task, no global barrier (§III-B2);
 //! * [`queue`] — FIFO and priority (largest-task-first) ready queues
 //!   (§III-B3);
-//! * [`exec`] — a **persistent worker-pool** executor that runs a
-//!   [`TaskGraph`] on `T` resident workers with per-worker ready-queue
-//!   shards and work stealing (dependency edges retire through per-task
-//!   atomic counters — no global lock), including the two-phase
-//!   *selective privatization* protocol (§III-B4): privatized tasks run their
-//!   convolution immediately into a private buffer and enqueue a reduction
-//!   that respects the TDG edges; plus a work-stealing `parallel_for` used
-//!   for the forward (gather) convolution and FFT lines. The historical
-//!   spawn-per-call scheduler survives as [`ExecBackend::SpawnPerCall`]
-//!   for A/B measurement.
+//! * [`exec`] — a **persistent worker-pool** executor with two job kinds on
+//!   one backend: `run_dag` runs a heterogeneous [`Dag`] on `T` resident
+//!   workers with per-worker ready-queue shards and work stealing
+//!   (dependency edges retire through per-node atomic counters — no global
+//!   lock), and a work-stealing `parallel_for` serves the forward (gather)
+//!   convolution and FFT lines. A [`TaskGraph`] runs as a `Dag` after one
+//!   lowering, [`DagBuilder::add_task_graph`], which also carries the
+//!   two-phase *selective privatization* protocol (§III-B4): a privatized
+//!   task's convolution is a root node writing a private buffer, and its
+//!   reduction node inherits the task's Gray-code edges.
 //!
 //! Everything is instrumented: the executor returns per-worker busy times and
-//! a per-task execution log, which both the load-balance experiments and the
+//! a per-node execution log, which both the load-balance experiments and the
 //! `nufft-sim` cost-model calibration consume.
 
 // Index-based loops below frequently address several parallel arrays
@@ -38,8 +38,7 @@ pub mod queue;
 pub mod scratch;
 
 pub use exec::{
-    DagRecord, DagRunStats, DagScratch, ExecBackend, Executor, GraphScratch, JobPriority, RunStats,
-    TaskPhase,
+    DagRecord, DagRunStats, DagScratch, ExecBackend, Executor, JobPriority, RunStats, TaskPhase,
 };
 pub use graph::{Dag, DagBuilder, NodeId, QueuePolicy, TaskGraph, TaskId};
 pub use gray::{gray_code, gray_rank};

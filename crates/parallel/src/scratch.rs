@@ -11,7 +11,7 @@
 //!   apart, with unsynchronized access handed out under the executor's
 //!   worker-exclusivity guarantee.
 //!
-//! The graph-run counterpart ([`crate::exec::GraphScratch`]) lives next to
+//! The DAG-run counterpart ([`crate::exec::DagScratch`]) lives next to
 //! the executor; both are verified allocation-free at steady state by the
 //! umbrella crate's counting-allocator test.
 
@@ -26,7 +26,7 @@ pub(crate) struct CachePadded<T>(pub(crate) T);
 /// line, written without synchronization by the owning worker.
 ///
 /// The soundness contract mirrors the executor's dispatch protocol: during
-/// one `run_graph`/`parallel_for` dispatch, worker `w` is the only thread
+/// one `run_dag`/`parallel_for` dispatch, worker `w` is the only thread
 /// that may touch slot `w` (the dispatching thread is worker 0), and
 /// dispatches on one pool never overlap. Between dispatches the owner holds
 /// `&mut self` and may touch every slot.

@@ -14,7 +14,7 @@
 // by the same task id; the iterator form would obscure that.
 #![allow(clippy::needless_range_loop)]
 
-use nufft_parallel::exec::{DagScratch, Executor, JobPriority, TaskPhase};
+use nufft_parallel::exec::{DagScratch, Executor, JobPriority};
 use nufft_parallel::graph::{Dag, DagBuilder, NodeId, QueuePolicy, TaskGraph};
 use nufft_testkit::Rng;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -32,6 +32,14 @@ fn spin(iters: u64) {
     for i in 0..iters {
         std::hint::black_box(i);
     }
+}
+
+/// Lowers `graph` with node tags `task << 2 | phase`, where the phase index
+/// 0/1/2 is Normal/PrivateConvolve/Reduce (`TaskPhase as u64`).
+fn lower(graph: &TaskGraph) -> Dag {
+    let mut b = DagBuilder::new();
+    b.add_task_graph(graph, |t, p| ((t as u64) << 2) | p as u64, |t, _| graph.weight(t));
+    b.build()
 }
 
 /// Job `job`'s tag namespace: layered pipeline of `layers × width` nodes,
@@ -186,12 +194,8 @@ fn interleaved_task_graphs_keep_the_privatization_protocol() {
                 let delays = &delays;
                 scope.spawn(move || {
                     barrier.wait();
-                    exec.run_graph(graph, QueuePolicy::Priority, |t, phase, _w| {
-                        let pi = match phase {
-                            TaskPhase::Normal => 0,
-                            TaskPhase::PrivateConvolve => 1,
-                            TaskPhase::Reduce => 2,
-                        };
+                    exec.run_dag(&lower(graph), QueuePolicy::Priority, |_v, tag, _w| {
+                        let (t, pi) = ((tag >> 2) as usize, (tag & 3) as usize);
                         spin(delays[j][t][pi]);
                         counts[j][t][pi].fetch_add(1, Ordering::SeqCst);
                     });

@@ -7,8 +7,8 @@
 //! failing seed replays), and a worker count chosen to oversubscribe the
 //! host — override it with `NUFFT_THREADS` (the CI stress step runs 16).
 
-use nufft_parallel::exec::{ExecBackend, Executor, TaskPhase};
-use nufft_parallel::graph::{QueuePolicy, TaskGraph};
+use nufft_parallel::exec::Executor;
+use nufft_parallel::graph::{Dag, DagBuilder, QueuePolicy, TaskGraph};
 use nufft_testkit::Rng;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -29,6 +29,14 @@ fn spin(iters: u64) {
     for i in 0..iters {
         std::hint::black_box(i);
     }
+}
+
+/// Lowers `graph` with node tags `task << 2 | phase`, where the phase index
+/// 0/1/2 is Normal/PrivateConvolve/Reduce (`TaskPhase as u64`).
+fn lower(graph: &TaskGraph) -> Dag {
+    let mut b = DagBuilder::new();
+    b.add_task_graph(graph, |t, p| ((t as u64) << 2) | p as u64, |t, _| graph.weight(t));
+    b.build()
 }
 
 #[test]
@@ -62,12 +70,8 @@ fn every_unit_runs_exactly_once_under_stealing_with_random_delays() {
                     p.store(0, Ordering::SeqCst);
                 }
             }
-            exec.run_graph(&graph, policy, |t, phase, _w| {
-                let pi = match phase {
-                    TaskPhase::Normal => 0,
-                    TaskPhase::PrivateConvolve => 1,
-                    TaskPhase::Reduce => 2,
-                };
+            exec.run_dag(&lower(&graph), policy, |_v, tag, _w| {
+                let (t, pi) = ((tag >> 2) as usize, (tag & 3) as usize);
                 spin(delays[t][pi]);
                 counts[t][pi].fetch_add(1, Ordering::SeqCst);
             });
@@ -95,7 +99,8 @@ fn adjacent_exclusion_holds_under_random_delays() {
     let n = graph.len();
     let delays: Vec<u64> = (0..n).map(|_| rng.gen_usize(0..3000) as u64).collect();
     let running: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    exec.run_graph(&graph, QueuePolicy::Priority, |t, _phase, _w| {
+    exec.run_dag(&lower(&graph), QueuePolicy::Priority, |_v, tag, _w| {
+        let t = (tag >> 2) as usize;
         running[t].store(1, Ordering::SeqCst);
         for (other, flag) in running.iter().enumerate() {
             if graph.adjacent(t, other) {
@@ -142,21 +147,19 @@ fn parallel_for_covers_exactly_once_under_stealing_with_random_delays() {
 
 #[test]
 fn both_backends_survive_the_same_stress() {
-    // The retained spawn-per-call baseline gets the same exactly-once
-    // treatment so A/B benches compare two correct schedulers.
+    // A fresh executor at the stress width runs a weighted graph exactly
+    // once per task.
     let mut rng = Rng::seed_from_u64(0x57EA_4000);
     let mut graph = TaskGraph::new(&[4, 4]);
     for t in 0..graph.len() {
         graph.set_weight(t, rng.gen_usize(0..100) as u64);
     }
-    for backend in [ExecBackend::Persistent, ExecBackend::SpawnPerCall] {
-        let exec = Executor::with_backend(stress_threads(), backend);
-        let count = AtomicU32::new(0);
-        exec.run_graph(&graph, QueuePolicy::Priority, |_t, _p, _w| {
-            count.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 16, "{backend:?}");
-    }
+    let exec = Executor::new(stress_threads());
+    let count = AtomicU32::new(0);
+    exec.run_dag(&lower(&graph), QueuePolicy::Priority, |_v, _tag, _w| {
+        count.fetch_add(1, Ordering::SeqCst);
+    });
+    assert_eq!(count.load(Ordering::SeqCst), 16);
 }
 
 #[test]

@@ -4,15 +4,15 @@
 //! *schedule*: how task sizes, the Gray-code dependency structure, queue
 //! discipline and selective privatization interact with `P` workers. This
 //! crate replays exactly the semantics of
-//! [`nufft_parallel::Executor::run_graph`] in virtual time, so core-scaling
-//! experiments can be run for 10/20/40 workers on any host — the development
-//! container for this reproduction has a single core.
+//! [`nufft_parallel::Executor::run_dag`] over a task graph lowered by
+//! [`nufft_parallel::DagBuilder::add_task_graph`] in virtual time, so
+//! core-scaling experiments can be run for 10/20/40 workers on any host —
+//! the development container for this reproduction has a single core.
 //!
-//! Two scheduler models are provided, matching the two
-//! [`nufft_parallel::ExecBackend`]s:
+//! Two scheduler models are provided:
 //!
-//! * [`simulate`] replays the **persistent sharded runtime**
-//!   (`ExecBackend::Persistent`): one ready-queue shard per worker, initial
+//! * [`simulate`] replays the **persistent sharded runtime** (the
+//!   executor's only backend): one ready-queue shard per worker, initial
 //!   seeds dealt round-robin in task order, a worker pops the policy-best
 //!   entry of its *own* shard and otherwise steals the policy-best entry of
 //!   the first non-empty victim scanning `(w+1) % T` upward; a completed
@@ -21,11 +21,12 @@
 //!   shard (owner pops and steals alike) serialize on
 //!   [`CostModel::queue_overhead`], dequeues of different shards proceed in
 //!   parallel — exactly the contention profile of per-shard mutexes.
-//! * [`simulate_shared_queue`] replays the historical spawn-per-call
-//!   scheduler (`ExecBackend::SpawnPerCall`): one global ready queue whose
-//!   dequeues serialize on a single resource. That global contention term
-//!   is what makes fixed-width partitioning (thousands of tiny tasks) stop
-//!   scaling in Figure 11, and is the cost the sharded runtime removes.
+//! * [`simulate_shared_queue`] models a **single shared ready queue** (the
+//!   paper's scheduler shape, and the executor's design before the sharded
+//!   pool; its measured cost stays in `BENCH_pool.json`): dequeues
+//!   serialize on a single resource. That global contention term is what
+//!   makes fixed-width partitioning (thousands of tiny tasks) stop scaling
+//!   in Figure 11, and is the cost the sharded runtime removes.
 //!
 //! Costs are supplied per (task, phase) by a [`CostModel`]; the repro
 //! harness calibrates [`LinearCost`] from real single-core measurements.
@@ -172,9 +173,8 @@ fn decode(payload: u64) -> (TaskId, TaskPhase) {
 }
 
 /// Simulates `graph` on `workers` virtual workers under `policy`, replaying
-/// the **persistent sharded runtime**
-/// ([`nufft_parallel::Executor::run_graph`] with the default
-/// `ExecBackend::Persistent`): per-worker ready-queue shards with
+/// the **persistent sharded runtime** ([`nufft_parallel::Executor::run_dag`]
+/// over the lowered task graph): per-worker ready-queue shards with
 /// round-robin seeding (the k-th initially-ready unit, in task order, lands
 /// on shard `k % workers`), own-shard-first popping, and steals that take
 /// the policy-best entry of the first non-empty victim scanning `(w+1) % T`
@@ -271,9 +271,10 @@ pub fn simulate(
         idle.push((key(ev.time), ev.worker));
         remaining -= 1;
 
-        // Completion bookkeeping (mirrors GraphJob::complete): retire one
-        // prerequisite per edge; the last retirement publishes the task to
-        // the completing worker's own shard.
+        // Completion bookkeeping (mirrors the executor's edge retirement
+        // over the lowered graph): retire one prerequisite per edge; the
+        // last retirement publishes the task to the completing worker's
+        // own shard.
         let mut retire = |t: TaskId, shards: &mut Vec<ReadyQueue>| {
             pending[t] -= 1;
             if pending[t] == 0 {
@@ -297,9 +298,8 @@ pub fn simulate(
     SimResult { makespan, worker_busy: busy, timeline }
 }
 
-/// Simulates `graph` under the historical **spawn-per-call** scheduler
-/// (`ExecBackend::SpawnPerCall`): one global ready queue, every dequeue
-/// serialized on a single [`CostModel::queue_overhead`] resource. This is
+/// Simulates `graph` under a **single shared ready queue**: every dequeue
+/// serialized on one [`CostModel::queue_overhead`] resource. This is
 /// the baseline the sharded runtime of [`simulate`] is measured against —
 /// its global contention term caps the scaling of many-tiny-task
 /// partitionings (Figure 11).

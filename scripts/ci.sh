@@ -30,14 +30,15 @@ echo "== parallel stress (oversubscribed, 16 workers) =="
 NUFFT_THREADS=16 cargo test -q --offline -p nufft-parallel
 
 echo "== multi-tenant job isolation stress (oversubscribed, 16 workers) =="
-# Concurrently submitted DAG/graph jobs on one shared pool: exactly-once
+# Concurrently submitted DAG jobs (lowered task graphs among them) and
+# loop jobs on one shared pool: exactly-once
 # execution, no cross-job tag leakage, and per-job stats harvested at
 # per-job quiescence, all under randomized seed-replayable delays.
 NUFFT_THREADS=16 cargo test -q --offline -p nufft-parallel --test job_isolation_stress
 
 echo "== fused-DAG stress (oversubscribed, 16 workers) =="
 # scheduler_consistency includes the fused-vs-phased bitwise equality
-# matrix (backend x ISA x threads) and the fused-DAG sim dominance check;
+# matrix (ISA x threads) and the fused-DAG sim dominance check;
 # 16 workers oversubscribe the runner so the single-dispatch DAG path runs
 # under real preemption.
 NUFFT_THREADS=16 cargo test -q --offline --test scheduler_consistency
@@ -107,7 +108,7 @@ else
     echo "clippy not installed; skipping"
 fi
 
-echo "== bench smoke (fft + operators + pool + windows, fast mode) =="
+echo "== bench smoke (fft + operators + windows, fast mode) =="
 scripts/bench.sh --quick
 
 echo "CI OK"

@@ -2,7 +2,7 @@
 //!
 //! An iterative solver applies the same forward/adjoint operators hundreds
 //! of times; the plan hoists every per-apply allocation into construction
-//! or first-use warmup (task-graph run state in `GraphScratch`, FFT tile
+//! or first-use warmup (the spread DAG and its run state in a `DagScratch`, FFT tile
 //! scratch in a `WorkerLocal` arena, pointer staging in reusable plan
 //! vectors, lazily-built FFT twiddle tables). This test pins that contract
 //! with a counting global allocator: after a warmup apply of each
@@ -87,10 +87,10 @@ fn steady_state_applies_are_allocation_free() {
     let mut bout_samples = vec![vec![Complex32::ZERO; k]; channels];
     let mut bout_images = vec![vec![Complex32::ZERO; img_len]; channels];
 
-    // Both execution modes must hold the contract: the fused path's DAG
-    // scratch (ready-queue shards, pred counters, span records) is
-    // plan-owned and sized for the worst case in `prepare`, exactly like
-    // the phased path's `GraphScratch`.
+    // Both execution modes must hold the contract: the fused path's and
+    // the spread stage's DAG scratch (ready-queue shards, pred counters,
+    // span records) are owned by the plan and sized for the worst case in
+    // `prepare`.
     // The sort dimension rides along: the bin-sort permutation (and the
     // unsorted mode's canonical-scan indirection) are built entirely at
     // plan time, so both layouts must be invisible to the allocator at

@@ -4,7 +4,7 @@
 //! transferable statements about the real runtime.
 
 use nufft::parallel::exec::{Executor, TaskPhase};
-use nufft::parallel::graph::{QueuePolicy, TaskGraph};
+use nufft::parallel::graph::{DagBuilder, QueuePolicy, TaskGraph};
 use nufft::sim::{simulate, LinearCost};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -21,13 +21,24 @@ fn weighted_graph(dims: &[usize], privatize_center: bool) -> TaskGraph {
     g
 }
 
+/// Runs `g` on `exec` as the lowered DAG (`DagBuilder::add_task_graph`),
+/// handing `f` each node's `(task, phase)`.
+fn run_lowered(exec: &Executor, g: &TaskGraph, f: impl Fn(usize, TaskPhase) + Sync) {
+    let phases = [TaskPhase::Normal, TaskPhase::PrivateConvolve, TaskPhase::Reduce];
+    let mut b = DagBuilder::new();
+    b.add_task_graph(g, |t, p| ((t as u64) << 2) | p as u64, |t, _| g.weight(t));
+    exec.run_dag(&b.build(), QueuePolicy::Priority, |_v, tag, _w| {
+        f((tag >> 2) as usize, phases[(tag & 3) as usize])
+    });
+}
+
 #[test]
 fn executor_and_simulator_run_the_same_phase_multiset() {
     for privatize in [false, true] {
         let g = weighted_graph(&[4, 4], privatize);
         // Count (task, phase) units executed by the real executor.
         let counts: Vec<[AtomicU32; 3]> = (0..g.len()).map(|_| Default::default()).collect();
-        Executor::new(3).run_graph(&g, QueuePolicy::Priority, |t, phase, _w| {
+        run_lowered(&Executor::new(3), &g, |t, phase| {
             let slot = match phase {
                 TaskPhase::Normal => 0,
                 TaskPhase::PrivateConvolve => 1,
@@ -101,7 +112,7 @@ fn real_executor_respects_privatized_reduce_ordering_under_load() {
         g.set_privatized(t, t % 3 == 0);
     }
     let conv_done: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-    Executor::new(8).run_graph(&g, QueuePolicy::Priority, |t, phase, _w| match phase {
+    run_lowered(&Executor::new(8), &g, |t, phase| match phase {
         TaskPhase::PrivateConvolve => {
             conv_done[t].store(1, Ordering::SeqCst);
         }
@@ -131,7 +142,7 @@ fn real_executor_respects_privatized_reduce_ordering_under_load() {
 //
 // The fused path must be a pure *scheduling* change: every operator output
 // is required to be bitwise-identical to the phased pipeline at every ISA
-// level, thread count, and executor backend. The per-element arithmetic is
+// level and thread count. The per-element arithmetic is
 // schedule-independent by construction (the Gray-code exclusion edges fix
 // the adjoint summation order, and every other node writes disjoint
 // elements); these tests are the tripwire that keeps it that way.
@@ -139,7 +150,6 @@ fn real_executor_respects_privatized_reduce_ordering_under_load() {
 
 use nufft::core::{fused, ExecMode, NufftConfig, NufftPlan};
 use nufft::math::Complex32;
-use nufft::parallel::exec::ExecBackend;
 use nufft::sim::{simulate_dag, simulate_dag_phased, DagLinearCost};
 use nufft::simd::{detect_isa, set_isa_override, IsaLevel};
 use std::sync::Mutex;
@@ -169,13 +179,12 @@ fn assert_bits_eq(a: &[Complex32], b: &[Complex32], what: &str) {
     }
 }
 
-fn plan_cfg(threads: usize, backend: ExecBackend, mode: ExecMode) -> NufftConfig {
+fn plan_cfg(threads: usize, mode: ExecMode) -> NufftConfig {
     NufftConfig {
         threads,
         w: 3.0,
         // Pin the decomposition so only the schedule varies.
         partitions_per_dim: Some(4),
-        backend,
         exec_mode: mode,
         ..NufftConfig::default()
     }
@@ -183,15 +192,15 @@ fn plan_cfg(threads: usize, backend: ExecBackend, mode: ExecMode) -> NufftConfig
 
 /// Runs all four operators under both exec modes on identical inputs and
 /// asserts exact bit equality of every output buffer.
-fn check_fused_matches_phased(threads: usize, backend: ExecBackend, label: &str) {
+fn check_fused_matches_phased(threads: usize, label: &str) {
     let n = [16usize, 16];
     let traj = traj2(350);
     let img_len = 256;
     let k = traj.len();
     let channels = 2usize;
 
-    let mut fus = NufftPlan::new(n, &traj, plan_cfg(threads, backend, ExecMode::Fused));
-    let mut pha = NufftPlan::new(n, &traj, plan_cfg(threads, backend, ExecMode::Phased));
+    let mut fus = NufftPlan::new(n, &traj, plan_cfg(threads, ExecMode::Fused));
+    let mut pha = NufftPlan::new(n, &traj, plan_cfg(threads, ExecMode::Phased));
     assert_eq!(fus.exec_mode(), ExecMode::Fused, "{label}");
     assert_eq!(pha.exec_mode(), ExecMode::Phased, "{label}");
 
@@ -251,19 +260,13 @@ fn check_fused_matches_phased(threads: usize, backend: ExecBackend, label: &str)
 fn fused_matches_phased_bitwise_across_backend_isa_and_threads() {
     let _guard = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let detected = detect_isa();
-    for backend in [ExecBackend::Persistent, ExecBackend::SpawnPerCall] {
-        for isa in [IsaLevel::StrictScalar, IsaLevel::Scalar, IsaLevel::Sse2, IsaLevel::Avx2Fma] {
-            if isa > detected {
-                continue;
-            }
-            set_isa_override(isa).unwrap();
-            for threads in [1usize, 2, 4] {
-                check_fused_matches_phased(
-                    threads,
-                    backend,
-                    &format!("backend={backend:?} isa={isa:?} threads={threads}"),
-                );
-            }
+    for isa in [IsaLevel::StrictScalar, IsaLevel::Scalar, IsaLevel::Sse2, IsaLevel::Avx2Fma] {
+        if isa > detected {
+            continue;
+        }
+        set_isa_override(isa).unwrap();
+        for threads in [1usize, 2, 4] {
+            check_fused_matches_phased(threads, &format!("isa={isa:?} threads={threads}"));
         }
     }
     set_isa_override(detected).unwrap();
@@ -274,7 +277,7 @@ fn exec_mode_switch_on_one_plan_stays_bitwise() {
     let _guard = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let n = [16usize, 16];
     let traj = traj2(300);
-    let mut plan = NufftPlan::new(n, &traj, plan_cfg(2, ExecBackend::Persistent, ExecMode::Fused));
+    let mut plan = NufftPlan::new(n, &traj, plan_cfg(2, ExecMode::Fused));
     let samples = signal(traj.len(), 0.7);
 
     let mut img_fused = vec![Complex32::ZERO; 256];
@@ -327,7 +330,7 @@ fn fused_dag_simulated_speedup_dominates_phased_on_real_plans() {
     let _guard = ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let n = [16usize, 16];
     let traj = clustered_traj2(2000);
-    let mut plan = NufftPlan::new(n, &traj, plan_cfg(2, ExecBackend::Persistent, ExecMode::Fused));
+    let mut plan = NufftPlan::new(n, &traj, plan_cfg(2, ExecMode::Fused));
     let model = DagLinearCost::per_unit(0.001);
     for adjoint in [false, true] {
         let dag = plan.fused_dag(adjoint, 1);
